@@ -44,14 +44,14 @@ func newSpanTracer(reg *obs.Registry, d diagOpts) *obs.SpanTracer {
 // "-metrics 127.0.0.1:0" callers — tests, CI — learn the picked port).
 // With pprofOn the mux additionally serves net/http/pprof profiles
 // under /debug/pprof/.
-func serveObs(addr string, reg *obs.Registry, tracer *obs.Tracer, spans *obs.SpanTracer, pprofOn bool) (string, error) {
+func serveObs(addr string, reg *obs.Registry, spans *obs.SpanTracer, pprofOn bool) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	url := fmt.Sprintf("http://%s", ln.Addr())
-	fmt.Printf("opdeltad: serving %s/metrics and %s/debug/{deltaz,spanz}\n", url, url)
-	var h http.Handler = obs.Handler(reg, tracer, spans)
+	fmt.Printf("opdeltad: serving %s/metrics and %s/debug/spanz\n", url, url)
+	var h http.Handler = obs.Handler(reg, spans)
 	if pprofOn {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -73,15 +73,15 @@ func serveObs(addr string, reg *obs.Registry, tracer *obs.Tracer, spans *obs.Spa
 // wrapper, a shipper reads the op log and appends encoded ops to the
 // persistent transport queue, and an applier drains the queue into a
 // warehouse (replica + projection view) through the parallel
-// integrator. Every op carries a lifecycle trace — captured, enqueued,
+// integrator. Every op carries a trace — captured, enqueued,
 // dequeued, locked, applied, durable — so /metrics reports live
-// freshness lag and per-stage latency while the pipeline runs.
+// freshness lag and per-stage latency while the pipeline runs, and
+// sampled ops' span chains land in /debug/spanz.
 func runLive(srcDir, outDir, metricsAddr string, rate int, duration time.Duration, d diagOpts) error {
 	reg := obs.Default()
-	tracer := obs.NewTracer(reg, 512)
 	spans := newSpanTracer(reg, d)
 	if metricsAddr != "" {
-		if _, err := serveObs(metricsAddr, reg, tracer, spans, d.pprof); err != nil {
+		if _, err := serveObs(metricsAddr, reg, spans, d.pprof); err != nil {
 			return err
 		}
 	}
@@ -215,16 +215,15 @@ func runLive(srcDir, outDir, metricsAddr string, rate int, duration time.Duratio
 				return
 			}
 			for _, op := range ops {
-				tr := tracer.Begin(op.Seq, op.Txn, op.Time)
 				// Single-process spans: same stages as the networked
 				// pipeline minus the wire, so /debug/spanz and the
 				// slow-span log work identically in live mode. No clock
 				// skew to correct — capture and apply share one clock.
-				if tid := obs.TraceID("live", op.Seq); spans.Sampled(tid) {
-					tr.SetOnDone(func(rec obs.TraceRecord) {
-						emitLocalSpans(spans, tid, "live", rec)
-					})
+				tid := obs.TraceID("live", op.Seq)
+				if !spans.Sampled(tid) {
+					tid = 0
 				}
+				tr := spans.Begin("live", op.Seq, obs.TraceContext{TraceID: tid, CaptureUnixNs: op.Time.UnixNano()})
 				// Stamp and publish the trace before the append: the
 				// applier can dequeue the instant Append lands, and a
 				// post-append stamp would race it backwards.
@@ -319,45 +318,12 @@ func runLive(srcDir, outDir, metricsAddr string, rate int, duration time.Duratio
 	if m := snap.Get("warehouse_apply_txns_total", obs.L("integrator", "parallel")); m != nil {
 		applied = m.Value
 	}
-	if m := snap.Get("delta_traces_total"); m != nil {
-		traced = m.Value
+	if m := snap.Get("span_e2e_seconds"); m != nil {
+		traced = float64(m.Count)
 	}
-	fmt.Printf("opdeltad: live pipeline done: %d ops captured, %d warehouse txns applied, %d lifecycles traced\n",
+	fmt.Printf("opdeltad: live pipeline done: %d ops captured, %d warehouse txns applied, %d ops traced\n",
 		int(captured), int(applied), int(traced))
 	errMu.Lock()
 	defer errMu.Unlock()
 	return firstErr
-}
-
-// emitLocalSpans converts a completed lifecycle trace into the span
-// chain the networked pipeline would have produced, for a pipeline that
-// runs in one process (one clock, no wire hops).
-func emitLocalSpans(spans *obs.SpanTracer, tid uint64, source string, rec obs.TraceRecord) {
-	capID := obs.SpanIDFor(tid, "capture")
-	queueID := obs.SpanIDFor(tid, "queue")
-	applyID := obs.SpanIDFor(tid, "apply")
-	durableID := obs.SpanIDFor(tid, "durable")
-	if rec.Enqueued != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: capID, Name: "capture",
-			Source: source, Seq: rec.Seq, StartUnixNs: rec.Captured, EndUnixNs: rec.Enqueued})
-	}
-	if rec.Enqueued != 0 && rec.Dequeued != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: queueID, ParentID: capID, Name: "queue",
-			Source: source, Seq: rec.Seq, StartUnixNs: rec.Enqueued, EndUnixNs: rec.Dequeued})
-	}
-	applyStart := rec.Locked
-	if applyStart == 0 {
-		applyStart = rec.Dequeued
-	}
-	if applyStart != 0 && rec.Applied != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: applyID, ParentID: queueID, Name: "apply",
-			Source: source, Seq: rec.Seq, StartUnixNs: applyStart, EndUnixNs: rec.Applied})
-	}
-	if rec.Applied != 0 && rec.Durable != 0 {
-		spans.Record(obs.SpanRecord{TraceID: tid, SpanID: durableID, ParentID: applyID, Name: "durable",
-			Source: source, Seq: rec.Seq, StartUnixNs: rec.Applied, EndUnixNs: rec.Durable})
-	}
-	if rec.Durable != 0 && rec.Captured != 0 {
-		spans.ObserveE2E(tid, source, rec.Seq, rec.Durable-rec.Captured)
-	}
 }

@@ -19,17 +19,18 @@
 // deltas, <table>.<seq>.ops for operations) to the output directory.
 //
 // With -metrics ADDR the daemon serves /metrics (Prometheus text
-// exposition), /debug/deltaz (recent delta lifecycle traces, JSON) and
-// /debug/spanz (recent span traces, JSON; ?format=tree for a rendered
-// span tree) on ADDR; port 0 picks a free port and the resolved URL is
-// printed. -pprof additionally mounts net/http/pprof profiles under
-// /debug/pprof/ on the same mux. -tracesample and -slowspan control
-// span head-sampling and the slow-trace log threshold.
+// exposition) and /debug/spanz (recent span traces, JSON; ?format=tree
+// for a rendered span tree) on ADDR; port 0 picks a free port and the
+// resolved URL is printed. -pprof additionally mounts net/http/pprof
+// profiles under /debug/pprof/ on the same mux. -tracesample and
+// -slowspan control span head-sampling and the slow-trace log
+// threshold.
 //
 // With -live the daemon instead runs the full pipeline in-process —
 // load generation through Op-Delta capture, a persistent queue, and
-// parallel warehouse apply — stamping every delta's lifecycle so the
-// metrics endpoint reports live freshness lag (see live.go).
+// parallel warehouse apply — tracing every delta from capture to
+// durable so the metrics endpoint reports live freshness lag and
+// per-stage latency (see live.go).
 //
 // With -serve the daemon is the warehouse side of networked
 // replication: it accepts shipper connections on -listen, lands op
@@ -68,7 +69,7 @@ func main() {
 		watch      = flag.Duration("watch", 0, "re-extract on this interval (0 = one pass)")
 		window     = flag.Int("window", 0, "snapshot method: window rows (0 = exact sort-merge)")
 		archive    = flag.Bool("archive", false, "log method: mine the archive directory instead of the live WAL")
-		metrics    = flag.String("metrics", "", "serve /metrics and /debug/deltaz on this address (port 0 picks a free port)")
+		metrics    = flag.String("metrics", "", "serve /metrics and /debug/spanz on this address (port 0 picks a free port)")
 		live       = flag.Bool("live", false, "run the live capture->queue->warehouse pipeline under -out instead of extraction passes")
 		loadgen    = flag.Int("loadgen", 200, "live/ship mode: source statements per second")
 		runFor     = flag.Duration("duration", 0, "live/serve/ship mode: stop after this long (0 = run until interrupted)")
@@ -118,7 +119,7 @@ func main() {
 		return
 	}
 	if *metrics != "" {
-		if _, err := serveObs(*metrics, obs.Default(), nil, nil, diag.pprof); err != nil {
+		if _, err := serveObs(*metrics, obs.Default(), nil, diag.pprof); err != nil {
 			fatal(err)
 		}
 	}

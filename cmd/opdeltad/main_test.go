@@ -21,9 +21,8 @@ import (
 // integration is running, and fails on malformed exposition lines or on
 // any of the acceptance series (freshness lag, queue depth, WAL fsync
 // latency, pool hit ratio, lock grants) missing or zero. It also pulls
-// /debug/deltaz and asserts every completed lifecycle's timestamps are
-// monotone across capture -> enqueue -> dequeue -> lock -> apply ->
-// durable.
+// /debug/spanz and asserts every completed trace is one monotone,
+// contiguous span chain capture -> queue -> lock -> apply -> durable.
 func TestLiveMetricsScrape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns the daemon binary")
@@ -93,7 +92,7 @@ func TestLiveMetricsScrape(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if v, ok := sampleValue(body, "delta_traces_total"); ok && v > 0 {
+		if v, ok := sampleValue(body, "span_e2e_seconds_count"); ok && v > 0 {
 			break
 		}
 	}
@@ -103,9 +102,9 @@ func TestLiveMetricsScrape(t *testing.T) {
 	}
 
 	mustPositive := []string{
-		"delta_traces_total",
-		"delta_freshness_lag_seconds_count",
-		"delta_freshness_lag_seconds_sum",
+		"spans_recorded_total",
+		"span_e2e_seconds_count",
+		"span_e2e_seconds_sum",
 		"opdelta_captured_total",
 		"transport_queue_appends_total",
 		`wal_fsync_seconds_count{db="wh"}`,
@@ -143,13 +142,15 @@ func TestLiveMetricsScrape(t *testing.T) {
 		t.Error("transport_queue_depth_bytes never read > 0 during the run")
 	}
 
-	// Every completed lifecycle must be stamped in pipeline order.
-	resp, err := http.Get(base + "/debug/deltaz?n=128")
+	// Every completed trace must be stamped in pipeline order. A trace's
+	// spans enter the ring together, and the newest 64 traces (5 spans
+	// each) fit in the 512-span ring, so each one is whole.
+	resp, err := http.Get(base + "/debug/spanz?n=64")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dz struct {
-		Traces []obs.TraceRecord `json:"traces"`
+		Traces []liveTrace `json:"traces"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&dz)
 	resp.Body.Close()
@@ -157,7 +158,7 @@ func TestLiveMetricsScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(dz.Traces) == 0 {
-		t.Fatal("/debug/deltaz returned no traces")
+		t.Fatal("/debug/spanz returned no traces")
 	}
 	for _, tr := range dz.Traces {
 		assertMonotoneTrace(t, tr)
@@ -180,44 +181,45 @@ func sampleValue(body []byte, prefix string) (float64, bool) {
 	return 0, false
 }
 
-// assertMonotoneTrace checks the stamped stages of one lifecycle are
-// non-decreasing in pipeline order and that freshness covers the whole
-// capture->durable span.
-func assertMonotoneTrace(t *testing.T, tr obs.TraceRecord) {
+// liveTrace is one trace of the /debug/spanz JSON document.
+type liveTrace struct {
+	Seq   uint64 `json:"seq"`
+	Spans []struct {
+		SpanID   string `json:"span_id"`
+		ParentID string `json:"parent_id"`
+		Name     string `json:"name"`
+		StartNs  int64  `json:"start_unix_ns"`
+		EndNs    int64  `json:"end_unix_ns"`
+	} `json:"spans"`
+}
+
+// assertMonotoneTrace checks one trace's spans cover every stage in
+// pipeline order, each parented on and starting where the one before
+// ended, so the chain spans the whole capture->durable freshness lag.
+func assertMonotoneTrace(t *testing.T, tr liveTrace) {
 	t.Helper()
-	stamps := []struct {
-		name string
-		ns   int64
-	}{
-		{"captured", tr.Captured},
-		{"enqueued", tr.Enqueued},
-		{"dequeued", tr.Dequeued},
-		{"locked", tr.Locked},
-		{"applied", tr.Applied},
-		{"durable", tr.Durable},
-	}
-	prev := stamps[0]
-	if prev.ns == 0 {
-		t.Errorf("trace seq=%d has no capture stamp", tr.Seq)
+	stages := []string{"capture", "queue", "lock", "apply", "durable"}
+	if len(tr.Spans) != len(stages) {
+		t.Errorf("trace seq=%d has %d spans, want %d", tr.Seq, len(tr.Spans), len(stages))
 		return
 	}
-	for _, s := range stamps[1:] {
-		if s.ns == 0 {
-			t.Errorf("trace seq=%d missing %s stamp", tr.Seq, s.name)
+	for i, sp := range tr.Spans {
+		if sp.Name != stages[i] {
+			t.Errorf("trace seq=%d span %d is %s, want %s", tr.Seq, i, sp.Name, stages[i])
+			return
+		}
+		if sp.StartNs == 0 || sp.EndNs < sp.StartNs {
+			t.Errorf("trace seq=%d: %s spans %d..%d", tr.Seq, sp.Name, sp.StartNs, sp.EndNs)
+		}
+		if i == 0 {
+			if sp.ParentID != "" {
+				t.Errorf("trace seq=%d: capture span has parent %s", tr.Seq, sp.ParentID)
+			}
 			continue
 		}
-		if s.ns < prev.ns {
-			t.Errorf("trace seq=%d: %s (%d) precedes %s (%d)", tr.Seq, s.name, s.ns, prev.name, prev.ns)
-		}
-		prev = s
-	}
-	if tr.Durable != 0 {
-		want := tr.Durable - tr.Captured
-		if want < 0 {
-			want = 0
-		}
-		if tr.FreshnessNs != want {
-			t.Errorf("trace seq=%d freshness = %d, want durable-captured = %d", tr.Seq, tr.FreshnessNs, want)
+		if prev := tr.Spans[i-1]; sp.ParentID != prev.SpanID || sp.StartNs != prev.EndNs {
+			t.Errorf("trace seq=%d: %s (parent %s, start %d) not chained to %s (id %s, end %d)",
+				tr.Seq, sp.Name, sp.ParentID, sp.StartNs, prev.Name, prev.SpanID, prev.EndNs)
 		}
 	}
 }

@@ -35,10 +35,9 @@ import (
 // log are durable, so the next start resumes from the last acked LSN.
 func runServe(listenAddr, outDir, metricsAddr string, duration time.Duration, d diagOpts) error {
 	reg := obs.Default()
-	tracer := obs.NewTracer(reg, 512)
 	spans := newSpanTracer(reg, d)
 	if metricsAddr != "" {
-		if _, err := serveObs(metricsAddr, reg, tracer, spans, d.pprof); err != nil {
+		if _, err := serveObs(metricsAddr, reg, spans, d.pprof); err != nil {
 			return err
 		}
 	}
@@ -173,7 +172,6 @@ func runServe(listenAddr, outDir, metricsAddr string, duration time.Duration, d 
 				return t.Schema, nil
 			},
 			Bootstrap: st.boot,
-			Tracer:    tracer,
 			Spans:     spans,
 			Obs:       reg,
 		}

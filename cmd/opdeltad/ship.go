@@ -43,7 +43,7 @@ func runShip(serverAddr, srcDir, source, metricsAddr string, rate, chunkRows int
 	reg := obs.Default()
 	spans := newSpanTracer(reg, d)
 	if metricsAddr != "" {
-		if _, err := serveObs(metricsAddr, reg, nil, spans, d.pprof); err != nil {
+		if _, err := serveObs(metricsAddr, reg, spans, d.pprof); err != nil {
 			return err
 		}
 	}

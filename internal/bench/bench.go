@@ -43,9 +43,9 @@ type Config struct {
 	Repeats int
 	// Obs, when set, receives every engine's metrics (each engine under
 	// a unique db=<scratch-name> label, so per-run stats never merge)
-	// plus the delta-lifecycle histograms from the traced experiments;
-	// benchtables dumps its snapshot into the -json output. Nil keeps
-	// every engine on a private registry.
+	// plus the span stage and freshness histograms from the traced
+	// experiments; benchtables dumps its snapshot into the -json output.
+	// Nil keeps every engine on a private registry.
 	Obs *obs.Registry
 }
 

@@ -14,22 +14,22 @@ import (
 	"opdelta/internal/workload"
 )
 
-// newBenchTracer returns a delta-lifecycle tracer on cfg.Obs, or nil
-// (every stamp a no-op) when no registry was supplied.
-func newBenchTracer(cfg *Config) *obs.Tracer {
+// newBenchTracer returns a span tracer on cfg.Obs, or nil (every
+// stamp a no-op) when no registry was supplied.
+func newBenchTracer(cfg *Config) *obs.SpanTracer {
 	if cfg.Obs == nil {
 		return nil
 	}
-	return obs.NewTracer(cfg.Obs, 256)
+	return obs.NewSpanTracer(cfg.Obs, 256)
 }
 
-// traceOps begins a fresh lifecycle for every op, captured "now": the
-// bench has no transport leg, so the trace measures the apply side —
-// lock wait, statement execution, and durability — and its freshness
+// traceOps begins a fresh unsampled trace for every op, captured "now":
+// the bench has no transport leg, so the trace measures the apply side
+// — lock wait, statement execution, and durability — and its freshness
 // lag is the op's scheduling-to-durable time within the apply window.
-func traceOps(tracer *obs.Tracer, ops []*opdelta.Op) {
+func traceOps(tracer *obs.SpanTracer, ops []*opdelta.Op) {
 	for _, op := range ops {
-		op.Trace = tracer.Begin(op.Seq, op.Txn, time.Now())
+		op.Trace = tracer.Begin("bench", op.Seq, obs.TraceContext{CaptureUnixNs: time.Now().UnixNano()})
 	}
 }
 

@@ -116,6 +116,9 @@ func RunParallelApply(cfg ParallelConfig) (*ParallelReport, error) {
 		if workErr != nil {
 			return nil, fmt.Errorf("simcrash: parallel crash pass failed without crashing: %w", workErr)
 		}
+		// The pass finished short of its crash op: disarm the script, or
+		// the verifier's own I/O (Close checkpoints) would reach it.
+		crashFS.SetScript(nil)
 		if err := verifyParallel(crashFS, cfg.Txns, rep, true); err != nil {
 			return nil, fmt.Errorf("simcrash: parallel crash pass (completed): %w", err)
 		}

@@ -126,6 +126,7 @@ func partsSchema() *catalog.Schema {
 	return catalog.NewSchema(
 		catalog.Column{Name: "part_id", Type: catalog.TypeInt64},
 		catalog.Column{Name: "qty", Type: catalog.TypeInt64},
+		catalog.Column{Name: "status", Type: catalog.TypeString},
 	)
 }
 
@@ -209,11 +210,83 @@ func TestFootprintIntFloatCoercion(t *testing.T) {
 }
 
 func TestFootprintWithoutKey(t *testing.T) {
-	stmt, err := sqlmini.Parse("DELETE FROM t WHERE k = 5")
-	if err != nil {
-		t.Fatal(err)
+	for _, src := range []string{"DELETE FROM t WHERE k = 5", "DELETE FROM parts WHERE part_id = 1"} {
+		stmt, err := sqlmini.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := StatementFootprint(stmt, partsSchema(), ""); !fp.Whole {
+			t.Fatalf("%q: no PK should mean whole table, got %+v", src, fp)
+		}
 	}
-	if fp := StatementFootprint(stmt, partsSchema(), ""); !fp.Whole {
-		t.Fatalf("no PK should mean whole table, got %+v", fp)
+}
+
+func TestFootprintDisjointRanges(t *testing.T) {
+	a := footprintOf(t, "UPDATE parts SET status = 'x' WHERE part_id BETWEEN 0 AND 99")
+	b := footprintOf(t, "UPDATE parts SET status = 'y' WHERE part_id BETWEEN 100 AND 199")
+	if a.Whole || b.Whole {
+		t.Fatalf("range predicates should not degrade to whole-table: %+v %+v", a, b)
+	}
+	if a.Overlaps(b) {
+		t.Fatalf("disjoint BETWEEN ranges reported overlapping")
+	}
+	c := footprintOf(t, "UPDATE parts SET status = 'z' WHERE part_id BETWEEN 50 AND 150")
+	if !a.Overlaps(c) || !b.Overlaps(c) {
+		t.Fatalf("straddling range should overlap both neighbours")
+	}
+}
+
+func TestFootprintPointsAndInserts(t *testing.T) {
+	a := footprintOf(t, "DELETE FROM parts WHERE part_id = 7")
+	b := footprintOf(t, "INSERT INTO parts VALUES (7, 10, 'new')")
+	cCols := footprintOf(t, "INSERT INTO parts (part_id, qty) VALUES (8, 1)")
+	if !a.Overlaps(b) {
+		t.Fatalf("delete of key 7 must conflict with insert of key 7")
+	}
+	if a.Overlaps(cCols) {
+		t.Fatalf("key 7 should not conflict with key 8")
+	}
+}
+
+func TestFootprintConservativeFallbacks(t *testing.T) {
+	cases := []string{
+		"UPDATE parts SET status = 'x' WHERE qty > 5",              // non-key predicate
+		"DELETE FROM parts",                                        // no predicate
+		"UPDATE parts SET part_id = part_id + 1 WHERE part_id = 3", // computed key assignment
+	}
+	for _, src := range cases {
+		if got := footprintOf(t, src); !got.Whole {
+			t.Errorf("%q: want whole-table footprint, got %+v", src, got)
+		}
+	}
+}
+
+func TestFootprintAndOrComposition(t *testing.T) {
+	// AND with a non-key term keeps the key bound.
+	a := footprintOf(t, "UPDATE parts SET status = 'x' WHERE part_id >= 10 AND part_id <= 20 AND qty > 0")
+	if a.Whole {
+		t.Fatalf("AND with non-key term lost the key bound")
+	}
+	b := footprintOf(t, "DELETE FROM parts WHERE part_id = 5 OR part_id = 15")
+	if b.Whole {
+		t.Fatalf("OR of key points degraded to whole-table")
+	}
+	if !a.Overlaps(b) {
+		t.Fatalf("[10,20] must overlap {5,15}")
+	}
+	c := footprintOf(t, "DELETE FROM parts WHERE part_id = 5 OR qty = 1")
+	if !c.Whole {
+		t.Fatalf("OR with non-key disjunct must be whole-table")
+	}
+}
+
+func TestFootprintKeyUpdateMoves(t *testing.T) {
+	// Rewriting the key touches both the old and the new key value.
+	a := footprintOf(t, "UPDATE parts SET part_id = 99 WHERE part_id = 1")
+	hit := func(k int64) bool {
+		return a.Overlaps(Footprint{Ranges: []KeyRange{Point(iv(k))}})
+	}
+	if a.Whole || !hit(1) || !hit(99) || hit(50) {
+		t.Fatalf("key-move footprint wrong: %+v", a)
 	}
 }

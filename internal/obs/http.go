@@ -12,38 +12,17 @@ import (
 // Handler serves the registry over HTTP:
 //
 //	/metrics       Prometheus text exposition (version 0.0.4)
-//	/debug/deltaz  recent completed delta traces as JSON, newest first
-//	               (?n=N limits the count; default 64)
-//	/debug/spanz   recent distributed spans grouped by trace, newest
-//	               trace first (?n=N limits traces, default 32;
-//	               ?format=tree renders a human-readable span tree;
-//	               the JSON form also carries the slow-trace ring)
+//	/debug/spanz   recent spans grouped by trace, newest trace first
+//	               (?n=N limits traces, default 32; ?format=tree
+//	               renders a human-readable span tree; the JSON form
+//	               also carries the slow-trace ring)
 //
-// tracer and spans may be nil, in which case the corresponding debug
-// endpoint serves an empty list.
-func Handler(reg *Registry, tracer *Tracer, spans *SpanTracer) http.Handler {
+// spans may be nil, in which case /debug/spanz serves empty lists.
+func Handler(reg *Registry, spans *SpanTracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.Snapshot().WriteText(w)
-	})
-	mux.HandleFunc("/debug/deltaz", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if s := r.URL.Query().Get("n"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil {
-				n = v
-			}
-		}
-		recs := tracer.Recent(n)
-		if recs == nil {
-			recs = []TraceRecord{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Traces []TraceRecord `json:"traces"`
-		}{recs})
 	})
 	mux.HandleFunc("/debug/spanz", func(w http.ResponseWriter, r *http.Request) {
 		n := 32

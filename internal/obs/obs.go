@@ -1,9 +1,9 @@
 // Package obs is the repository's measurement substrate: a
 // dependency-free metrics registry (sharded lock-free counters, gauges,
-// log-scale histograms with fixed bucket bounds) plus a delta-lifecycle
-// tracer that stamps each Op-Delta transaction on its way from source
-// capture to warehouse durability and derives the end-to-end freshness
-// lag the paper's whole argument is about.
+// log-scale histograms with fixed bucket bounds) plus a span tracer
+// that follows each Op-Delta transaction on its way from source capture
+// to warehouse durability and derives the end-to-end freshness lag the
+// paper's whole argument is about.
 //
 // Design constraints, in order:
 //

@@ -237,59 +237,88 @@ func TestValidateExposition(t *testing.T) {
 	}
 }
 
+// TestTracerLifecycle: a fully stamped local-root trace emits the
+// capture->queue->lock->apply->durable chain, each span parented on the
+// one before and starting where it ended; an unsampled (ID 0) trace
+// feeds the same histograms but stays out of the ring.
 func TestTracerLifecycle(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, 4)
-	start := time.Now().Add(-10 * time.Millisecond)
-	trace := tr.Begin(7, 3, start)
-	trace.Enqueued()
-	trace.Dequeued()
-	trace.Locked()
-	trace.Applied()
-	trace.Durable()
-	trace.Done()
+	st := NewSpanTracer(r, 16)
+	tid := TraceID("src", 7)
+	captured := time.Now().Add(-10 * time.Millisecond).UnixNano()
+	stampAll := func(tr *Trace) {
+		tr.Enqueued()
+		tr.Dequeued()
+		tr.Locked()
+		tr.Applied()
+		tr.Durable()
+		tr.Done()
+	}
+	stampAll(st.Begin("src", 7, TraceContext{TraceID: tid, CaptureUnixNs: captured}))
 
-	recs := tr.Recent(10)
-	if len(recs) != 1 {
-		t.Fatalf("Recent = %d records, want 1", len(recs))
+	spans := st.TraceSpans(tid)
+	if len(spans) != len(stages) {
+		t.Fatalf("trace spans = %+v, want one per stage", spans)
 	}
-	rec := recs[0]
-	if rec.Seq != 7 || rec.Txn != 3 {
-		t.Fatalf("record identity = %+v", rec)
-	}
-	// Monotone stamps along the pipeline.
-	seqNs := []int64{rec.Captured, rec.Enqueued, rec.Dequeued, rec.Locked, rec.Applied, rec.Durable}
-	for i := 1; i < len(seqNs); i++ {
-		if seqNs[i] < seqNs[i-1] {
-			t.Fatalf("stamp %d (%d) earlier than stamp %d (%d)", i, seqNs[i], i-1, seqNs[i-1])
+	for i, sp := range spans {
+		if sp.Name != stages[i] || sp.Source != "src" || sp.Seq != 7 {
+			t.Fatalf("span %d = %+v, want stage %q of src/7", i, sp, stages[i])
+		}
+		if sp.EndUnixNs < sp.StartUnixNs {
+			t.Fatalf("span %s ends (%d) before it starts (%d)", sp.Name, sp.EndUnixNs, sp.StartUnixNs)
+		}
+		if i == 0 {
+			if sp.ParentID != 0 || sp.StartUnixNs != captured {
+				t.Fatalf("root span = %+v, want parentless and starting at capture", sp)
+			}
+			continue
+		}
+		if prev := spans[i-1]; sp.ParentID != prev.SpanID || sp.StartUnixNs != prev.EndUnixNs {
+			t.Fatalf("span %s (parent %x, start %d) not chained to %s (id %x, end %d)",
+				sp.Name, sp.ParentID, sp.StartUnixNs, prev.Name, prev.SpanID, prev.EndUnixNs)
 		}
 	}
-	if rec.FreshnessNs < 10*time.Millisecond.Nanoseconds() {
-		t.Fatalf("freshness = %dns, want >= 10ms", rec.FreshnessNs)
+
+	stampAll(st.Begin("src", 8, TraceContext{CaptureUnixNs: captured}))
+	if got := len(st.Recent(0)); got != len(stages) {
+		t.Fatalf("ring holds %d spans after an unsampled trace, want %d", got, len(stages))
 	}
 	s := r.Snapshot()
-	if m := s.Get("delta_freshness_lag_seconds"); m == nil || m.Count != 1 {
-		t.Fatalf("freshness histogram = %+v", m)
+	if m := s.Get("span_e2e_seconds"); m == nil || m.Count != 2 || m.Sum < 2*0.010 {
+		t.Fatalf("e2e histogram = %+v, want 2 observations of >= 10ms", m)
 	}
 	for _, stage := range stages {
-		if m := s.Get("delta_stage_seconds", L("stage", stage)); m == nil || m.Count != 1 {
-			t.Fatalf("stage %q histogram = %+v", stage, m)
+		if m := s.Get("span_stage_seconds", L("stage", stage)); m == nil || m.Count != 2 {
+			t.Fatalf("stage %q histogram = %+v, want 2", stage, m)
 		}
 	}
-	if v := s.Get("delta_traces_total"); v == nil || v.Value != 1 {
-		t.Fatalf("delta_traces_total = %+v", v)
+	if v := s.Get("spans_recorded_total"); v == nil || v.Value != float64(len(stages)) {
+		t.Fatalf("spans_recorded_total = %+v, want %d", v, len(stages))
+	}
+
+	// A trace continuing a peer's span skips the capture stage (the peer
+	// recorded it) and hangs its first span on the wire parent.
+	wire := TraceID("src", 9)
+	persist := SpanIDFor(wire, "persist")
+	tr := st.Begin("src", 9, TraceContext{TraceID: wire, SpanID: persist, CaptureUnixNs: captured})
+	tr.EnqueuedAt(captured + 1) // the persist end, learned from the peer's handoff
+	stampAll(tr)
+	spans = st.TraceSpans(wire)
+	if len(spans) != len(stages)-1 || spans[0].Name != StageQueue || spans[0].ParentID != persist ||
+		spans[0].StartUnixNs != captured+1 {
+		t.Fatalf("wire-parented spans = %+v, want queue..durable under persist, queued at %d", spans, captured+1)
 	}
 }
 
 func TestTracerRingWraps(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, 3)
+	st := NewSpanTracer(NewRegistry(), 3)
 	for i := uint64(1); i <= 5; i++ {
-		trace := tr.Begin(i, i, time.Now())
-		trace.Durable()
-		trace.Done()
+		tr := st.Begin("src", i, TraceContext{TraceID: TraceID("src", i), CaptureUnixNs: time.Now().UnixNano()})
+		tr.Applied()
+		tr.Durable()
+		tr.Done()
 	}
-	recs := tr.Recent(10)
+	recs := st.Recent(10)
 	if len(recs) != 3 {
 		t.Fatalf("ring kept %d, want 3", len(recs))
 	}
@@ -302,36 +331,46 @@ func TestTracerRingWraps(t *testing.T) {
 }
 
 func TestNilTracerAndTrace(t *testing.T) {
-	var tr *Tracer
-	trace := tr.Begin(1, 1, time.Now())
+	var st *SpanTracer
+	trace := st.Begin("src", 1, TraceContext{TraceID: 1, CaptureUnixNs: 1})
+	if trace != nil {
+		t.Fatalf("nil tracer began a trace: %+v", trace)
+	}
 	trace.Enqueued()
+	trace.EnqueuedAt(1)
 	trace.Dequeued()
 	trace.Locked()
 	trace.Applied()
 	trace.Durable()
 	trace.Done()
-	if got := tr.Recent(5); got != nil {
+	if got := st.Recent(5); got != nil {
 		t.Fatalf("nil tracer Recent = %v, want nil", got)
 	}
 }
 
 func TestTracerPartialStamps(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, 4)
+	st := NewSpanTracer(r, 8)
+	tid := TraceID("src", 1)
 	// A trace that skipped the queue entirely: only apply-side stamps.
-	trace := tr.Begin(1, 1, time.Now())
+	trace := st.Begin("src", 1, TraceContext{TraceID: tid, CaptureUnixNs: time.Now().UnixNano()})
 	trace.Applied()
 	trace.Durable()
 	trace.Done()
-	s := r.Snapshot()
-	if m := s.Get("delta_stage_seconds", L("stage", StageQueue)); m.Count != 0 {
-		t.Fatalf("queue stage observed %d times despite missing stamps", m.Count)
+	if spans := st.TraceSpans(tid); len(spans) != 1 || spans[0].Name != StageDurable || spans[0].ParentID != 0 {
+		t.Fatalf("spans = %+v, want only a root durable span", spans)
 	}
-	if m := s.Get("delta_stage_seconds", L("stage", StageDurable)); m.Count != 1 {
+	s := r.Snapshot()
+	for _, stage := range []string{StageCapture, StageQueue, StageLock, StageApply} {
+		if m := s.Get("span_stage_seconds", L("stage", stage)); m != nil {
+			t.Fatalf("stage %q observed despite missing stamps: %+v", stage, m)
+		}
+	}
+	if m := s.Get("span_stage_seconds", L("stage", StageDurable)); m.Count != 1 {
 		t.Fatalf("durable stage = %d observations, want 1", m.Count)
 	}
-	if m := s.Get("delta_freshness_lag_seconds"); m.Count != 1 {
-		t.Fatalf("freshness = %d observations, want 1", m.Count)
+	if m := s.Get("span_e2e_seconds"); m.Count != 1 {
+		t.Fatalf("e2e = %d observations, want 1", m.Count)
 	}
 }
 

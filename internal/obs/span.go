@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// Span-based distributed tracing for the replication path. The
-// lifecycle Tracer (trace.go) stamps the six in-process stages of one
-// delta; spans generalize that across process boundaries: each stage
-// becomes a span with a start, an end, and a parent link, and the
-// (traceID, spanID, captureUnixNs) context rides the netrepl wire so
-// the shipper's capture/ship spans and the server's
-// persist/queue/apply/durable spans join into one tree keyed by trace
-// ID. IDs are derived deterministically (FNV-1a over source and
+// Span-based distributed tracing for the replication path. Each stage
+// of a delta's trip becomes a span with a start, an end, and a parent
+// link: a Trace (trace.go) turns one delta's in-process stamps into
+// its capture/queue/lock/apply/durable spans, and the (traceID,
+// spanID, captureUnixNs) context rides the netrepl wire so the
+// shipper's capture/ship spans and the server's
+// persist/queue/lock/apply/durable spans join into one tree keyed by
+// trace ID. IDs are derived deterministically (FNV-1a over source and
 // sequence number), so a redelivered batch reuses its trace rather
 // than minting an orphan, and head sampling — a pure function of the
 // trace ID — makes the same decision on both sides of the wire
@@ -204,35 +204,58 @@ func (st *SpanTracer) Record(rec SpanRecord) {
 	if st == nil || rec.TraceID == 0 {
 		return
 	}
-	st.mu.Lock()
-	h, ok := st.stage[rec.Name]
-	if !ok {
-		h = st.reg.Histogram("span_stage_seconds", DurationBuckets, Label{Key: "stage", Value: rec.Name})
-		st.stage[rec.Name] = h
-	}
-	st.ring[st.next] = rec
-	st.next++
-	if st.next == len(st.ring) {
-		st.next = 0
-		st.full = true
-	}
-	st.mu.Unlock()
-	h.Observe(float64(rec.DurationNs()) / 1e9)
-	st.recorded.Inc()
+	st.record([]SpanRecord{rec})
 }
 
-// ObserveE2E records one end-to-end freshness observation for a trace:
-// lagNs is the skew-corrected capture-to-durable latency. If it
-// exceeds the slow threshold the trace is logged with this process's
-// per-stage breakdown and kept in the slow ring.
+// record observes every span's duration in its stage histogram and
+// stores the spans of sampled traces (non-zero trace ID) in the ring,
+// all under one lock so a reader never sees half of one trace's chain.
+// spans holds at most one span per stage.
+func (st *SpanTracer) record(spans []SpanRecord) {
+	var hs [len(stages)]*Histogram
+	kept := 0
+	st.mu.Lock()
+	for i, rec := range spans {
+		h, ok := st.stage[rec.Name]
+		if !ok {
+			h = st.reg.Histogram("span_stage_seconds", DurationBuckets, Label{Key: "stage", Value: rec.Name})
+			st.stage[rec.Name] = h
+		}
+		hs[i] = h
+		if rec.TraceID == 0 {
+			continue
+		}
+		st.ring[st.next] = rec
+		st.next++
+		if st.next == len(st.ring) {
+			st.next = 0
+			st.full = true
+		}
+		kept++
+	}
+	st.mu.Unlock()
+	for i, rec := range spans {
+		hs[i].Observe(float64(rec.DurationNs()) / 1e9)
+	}
+	st.recorded.Add(uint64(kept))
+}
+
+// ObserveE2E records one end-to-end freshness observation: lagNs is
+// the skew-corrected capture-to-durable latency. If the trace is
+// sampled (non-zero ID) and the lag exceeds the slow threshold, the
+// trace is logged with this process's per-stage breakdown and kept in
+// the slow ring.
 func (st *SpanTracer) ObserveE2E(traceID uint64, source string, seq uint64, lagNs int64) {
-	if st == nil || traceID == 0 {
+	if st == nil {
 		return
 	}
 	if lagNs < 0 {
 		lagNs = 0
 	}
 	st.e2e.Observe(float64(lagNs) / 1e9)
+	if traceID == 0 {
+		return
+	}
 	st.mu.Lock()
 	thr := st.slowNs
 	st.mu.Unlock()
@@ -287,6 +310,16 @@ func (st *SpanTracer) Recent(n int) []SpanRecord {
 	return out
 }
 
+// sortSpans orders spans by start time. A zero-length span and the
+// span that follows it start together; ordering ties by end time keeps
+// the chain in stage order.
+func sortSpans(spans []SpanRecord) {
+	sort.Slice(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		return a.StartUnixNs < b.StartUnixNs || (a.StartUnixNs == b.StartUnixNs && a.EndUnixNs < b.EndUnixNs)
+	})
+}
+
 // TraceSpans returns this process's spans for one trace, ordered by
 // start time.
 func (st *SpanTracer) TraceSpans(traceID uint64) []SpanRecord {
@@ -305,7 +338,7 @@ func (st *SpanTracer) TraceSpans(traceID uint64) []SpanRecord {
 		}
 	}
 	st.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNs < out[j].StartUnixNs })
+	sortSpans(out)
 	return out
 }
 
@@ -366,7 +399,7 @@ func (st *SpanTracer) Traces(n int) []SpanTrace {
 	out := make([]SpanTrace, 0, len(order))
 	for _, id := range order {
 		t := byID[id]
-		sort.Slice(t.Spans, func(i, j int) bool { return t.Spans[i].StartUnixNs < t.Spans[j].StartUnixNs })
+		sortSpans(t.Spans)
 		out = append(out, *t)
 	}
 	return out

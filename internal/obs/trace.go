@@ -1,246 +1,148 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Lifecycle stage names, in pipeline order. Each stage histogram
-// measures the gap between two adjacent stamps:
+// Stage span names, in pipeline order. A Trace turns the stamps of one
+// delta into one span per stage, each covering the gap between two
+// adjacent stamps:
 //
-//	enqueue: capture  -> enqueued  (source commit to transport append)
+//	capture: captured -> enqueued  (source commit to transport append)
 //	queue:   enqueued -> dequeued  (time sitting in the transport queue)
 //	lock:    dequeued -> locked    (scheduling + lock pre-declaration)
 //	apply:   locked   -> applied   (statement execution at the warehouse)
 //	durable: applied  -> durable   (commit + WAL group-commit fsync wait)
 //
-// Freshness lag is capture -> durable: how stale the warehouse answer
+// Freshness lag is captured -> durable: how stale the warehouse answer
 // was for data the source had already committed.
 const (
-	StageEnqueue = "enqueue"
+	StageCapture = "capture"
 	StageQueue   = "queue"
 	StageLock    = "lock"
 	StageApply   = "apply"
 	StageDurable = "durable"
 )
 
-var stages = []string{StageEnqueue, StageQueue, StageLock, StageApply, StageDurable}
+var stages = [...]string{StageCapture, StageQueue, StageLock, StageApply, StageDurable}
 
-// TraceRecord is one completed lifecycle, kept in the tracer's ring
-// buffer for /debug/deltaz. Times are unix nanoseconds; zero means the
-// stage was never stamped (e.g. a trace that bypassed the queue).
-type TraceRecord struct {
-	Seq      uint64 `json:"seq"`
-	Txn      uint64 `json:"txn"`
-	Captured int64  `json:"captured_unix_ns"`
-	Enqueued int64  `json:"enqueued_unix_ns,omitempty"`
-	Dequeued int64  `json:"dequeued_unix_ns,omitempty"`
-	Locked   int64  `json:"locked_unix_ns,omitempty"`
-	Applied  int64  `json:"applied_unix_ns,omitempty"`
-	Durable  int64  `json:"durable_unix_ns,omitempty"`
-
-	// FreshnessNs is Durable-Captured (clamped at zero), the end-to-end
-	// lag this delta experienced.
-	FreshnessNs int64 `json:"freshness_ns"`
-}
-
-// Tracer derives freshness-lag and per-stage latency histograms from
-// lifecycle stamps and retains the most recent completed traces in a
-// ring buffer. All methods are nil-safe so instrumented code paths can
-// run untraced at zero cost.
-type Tracer struct {
-	freshness *Histogram
-	stage     map[string]*Histogram
-	completed *Counter
-
-	mu   sync.Mutex
-	ring []TraceRecord
-	next int
-	full bool
-}
-
-// NewTracer registers the tracer's metrics on reg and keeps up to size
-// completed traces for /debug/deltaz.
-func NewTracer(reg *Registry, size int) *Tracer {
-	if size <= 0 {
-		size = 256
-	}
-	t := &Tracer{
-		freshness: reg.Histogram("delta_freshness_lag_seconds", DurationBuckets),
-		stage:     make(map[string]*Histogram, len(stages)),
-		completed: reg.Counter("delta_traces_total"),
-		ring:      make([]TraceRecord, size),
-	}
-	for _, s := range stages {
-		t.stage[s] = reg.Histogram("delta_stage_seconds", DurationBuckets, L("stage", s))
-	}
-	return t
-}
-
-// Begin starts a lifecycle for the delta with the given source sequence
-// and transaction, captured at the source at the given time. A nil
-// tracer yields a nil trace, on which every stamp is a no-op.
-func (t *Tracer) Begin(seq, txn uint64, captured time.Time) *Trace {
-	if t == nil {
+// Begin starts the in-flight trace of the delta with the given source
+// and sequence number. tc names the trace and where it hangs:
+//
+//   - TraceID: the trace the spans join. Zero means unsampled; the
+//     trace still feeds span_stage_seconds and span_e2e_seconds, but
+//     its spans never enter the ring and it never enters the slow log.
+//   - SpanID: the caller's wire span, parent of the first span here.
+//     Zero makes the trace a local root beginning with its capture
+//     span; otherwise the capture stage belongs to the peer process
+//     that recorded it, and the chain here begins at queue.
+//   - CaptureUnixNs: when the source captured the delta, on this
+//     process's clock (a caller with a remote source subtracts its
+//     clock offset first); Done measures freshness lag from it.
+//
+// A nil tracer yields a nil trace, on which every stamp is a no-op.
+func (st *SpanTracer) Begin(source string, seq uint64, tc TraceContext) *Trace {
+	if st == nil {
 		return nil
 	}
-	return &Trace{t: t, seq: seq, txn: txn, captured: captured.UnixNano()}
+	return &Trace{st: st, tc: tc, source: source, seq: seq}
 }
 
-// Recent returns up to n completed traces, newest first.
-func (t *Tracer) Recent(n int) []TraceRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := t.next
-	if t.full {
-		total = len(t.ring)
-	}
-	if n <= 0 || n > total {
-		n = total
-	}
-	out := make([]TraceRecord, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (t.next - 1 - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
-	}
-	return out
-}
-
-// Trace is one in-flight delta lifecycle. Stamps are atomic int64 unix
-// nanos, so the stages may be stamped from different goroutines (the
-// capture side, the daemon's reader, and a parallel applier) without
+// Trace is one in-flight delta. Stamps are atomic int64 unix nanos, so
+// the stages may be stamped from different goroutines (the capture
+// side, the daemon's reader, and a parallel applier) without
 // coordination. All methods tolerate a nil receiver.
 type Trace struct {
-	t        *Tracer
-	seq, txn uint64
-	captured int64
+	st     *SpanTracer
+	tc     TraceContext
+	source string
+	seq    uint64
 
 	enqueued atomic.Int64
 	dequeued atomic.Int64
 	locked   atomic.Int64
 	applied  atomic.Int64
 	durable  atomic.Int64
-
-	mu     sync.Mutex
-	onDone func(TraceRecord)
 }
 
-// SetOnDone registers a hook that receives the finished record when
-// Done runs. The netrepl applier uses it to hand a wire-propagated
-// span context into the parallel integrator's completion path: the
-// integrator stamps and finishes the trace as it always did, and the
-// hook converts the stamps into distributed spans. Call before the
-// trace can complete; last registration wins.
-func (tr *Trace) SetOnDone(fn func(TraceRecord)) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.onDone = fn
-	tr.mu.Unlock()
-}
-
-func (tr *Trace) stamp(slot *atomic.Int64) {
-	if tr == nil {
-		return
-	}
-	slot.CompareAndSwap(0, time.Now().UnixNano())
-}
+func stamp(slot *atomic.Int64, ns int64) { slot.CompareAndSwap(0, ns) }
 
 // Enqueued marks the delta appended to the transport queue.
 func (tr *Trace) Enqueued() {
 	if tr != nil {
-		tr.stamp(&tr.enqueued)
+		stamp(&tr.enqueued, time.Now().UnixNano())
+	}
+}
+
+// EnqueuedAt marks the delta appended to the transport queue at ns,
+// for a caller that learned the append time from elsewhere (the
+// networked applier reads it off the topic's span handoff).
+func (tr *Trace) EnqueuedAt(ns int64) {
+	if tr != nil {
+		stamp(&tr.enqueued, ns)
 	}
 }
 
 // Dequeued marks the delta read back out of the transport queue.
 func (tr *Trace) Dequeued() {
 	if tr != nil {
-		tr.stamp(&tr.dequeued)
+		stamp(&tr.dequeued, time.Now().UnixNano())
 	}
 }
 
 // Locked marks the applier's lock plan granted.
 func (tr *Trace) Locked() {
 	if tr != nil {
-		tr.stamp(&tr.locked)
+		stamp(&tr.locked, time.Now().UnixNano())
 	}
 }
 
 // Applied marks the delta's statements executed at the warehouse.
 func (tr *Trace) Applied() {
 	if tr != nil {
-		tr.stamp(&tr.applied)
+		stamp(&tr.applied, time.Now().UnixNano())
 	}
 }
 
 // Durable marks the warehouse commit durable (WAL fsync complete).
 func (tr *Trace) Durable() {
 	if tr != nil {
-		tr.stamp(&tr.durable)
+		stamp(&tr.durable, time.Now().UnixNano())
 	}
 }
 
-// Done finishes the lifecycle: observes per-stage latencies for every
-// adjacent pair of stamps that were both taken, observes freshness lag
-// if the trace reached durability, and records it in the ring buffer.
-// Call exactly once, after the final stamp.
+// Done finishes the trace: it records one span per stage whose two
+// bounding stamps were both taken, each parented on the span before
+// it (the first on the caller's wire span), and, if the delta reached
+// durability, observes its freshness lag. Call exactly once, after
+// the final stamp.
 func (tr *Trace) Done() {
 	if tr == nil {
 		return
 	}
-	rec := TraceRecord{
-		Seq:      tr.seq,
-		Txn:      tr.txn,
-		Captured: tr.captured,
-		Enqueued: tr.enqueued.Load(),
-		Dequeued: tr.dequeued.Load(),
-		Locked:   tr.locked.Load(),
-		Applied:  tr.applied.Load(),
-		Durable:  tr.durable.Load(),
+	first := tr.tc.CaptureUnixNs
+	if tr.tc.SpanID != 0 {
+		first = 0 // the peer recorded the capture span
 	}
-	observeStage := func(name string, from, to int64) {
-		if from != 0 && to != 0 {
-			d := to - from
-			if d < 0 {
-				d = 0
-			}
-			tr.t.stage[name].Observe(float64(d) / 1e9)
+	bounds := [len(stages) + 1]int64{first, tr.enqueued.Load(), tr.dequeued.Load(),
+		tr.locked.Load(), tr.applied.Load(), tr.durable.Load()}
+	var spans [len(stages)]SpanRecord
+	n, parent := 0, tr.tc.SpanID
+	for i, name := range stages {
+		if bounds[i] == 0 || bounds[i+1] == 0 {
+			continue
 		}
-	}
-	observeStage(StageEnqueue, rec.Captured, rec.Enqueued)
-	observeStage(StageQueue, rec.Enqueued, rec.Dequeued)
-	observeStage(StageLock, rec.Dequeued, rec.Locked)
-	observeStage(StageApply, rec.Locked, rec.Applied)
-	observeStage(StageDurable, rec.Applied, rec.Durable)
-	if rec.Durable != 0 {
-		lag := rec.Durable - rec.Captured
-		if lag < 0 {
-			lag = 0
+		var id uint64
+		if tr.tc.TraceID != 0 {
+			id = SpanIDFor(tr.tc.TraceID, name)
 		}
-		rec.FreshnessNs = lag
-		tr.t.freshness.Observe(float64(lag) / 1e9)
+		spans[n] = SpanRecord{TraceID: tr.tc.TraceID, SpanID: id, ParentID: parent, Name: name,
+			Source: tr.source, Seq: tr.seq, StartUnixNs: bounds[i], EndUnixNs: bounds[i+1]}
+		n, parent = n+1, id
 	}
-	tr.t.completed.Inc()
-
-	tr.t.mu.Lock()
-	tr.t.ring[tr.t.next] = rec
-	tr.t.next++
-	if tr.t.next == len(tr.t.ring) {
-		tr.t.next = 0
-		tr.t.full = true
-	}
-	tr.t.mu.Unlock()
-
-	tr.mu.Lock()
-	fn := tr.onDone
-	tr.mu.Unlock()
-	if fn != nil {
-		fn(rec)
+	tr.st.record(spans[:n])
+	if durable := bounds[len(stages)]; durable != 0 && tr.tc.CaptureUnixNs != 0 {
+		tr.st.ObserveE2E(tr.tc.TraceID, tr.source, tr.seq, durable-tr.tc.CaptureUnixNs)
 	}
 }

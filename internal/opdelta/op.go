@@ -67,7 +67,7 @@ type Op struct {
 	// Time is the capture timestamp at the source.
 	Time time.Time
 
-	// Trace is the op's delta-lifecycle trace, attached by the pipeline
+	// Trace is the op's in-flight span trace, attached by the pipeline
 	// driver (opdeltad) and stamped by the integrators. Runtime-only: it
 	// does not survive Encode/DecodeOp, so a consumer on the far side of
 	// a queue re-attaches by Seq. Nil means untraced; stamping a nil

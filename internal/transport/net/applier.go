@@ -14,10 +14,10 @@ import (
 // Applier drains one topic into one warehouse through the parallel
 // integrator. The queue gives at-least-once delivery (a crash between
 // apply and Ack replays the tail); the integrator's AppliedLog turns
-// that into exactly-once effects. Each op gets a lifecycle trace
-// beginning at its source capture timestamp — carried inside the op
-// encoding — so the warehouse-side tracer measures true end-to-end
-// freshness across the wire.
+// that into exactly-once effects. Each op gets a trace beginning at
+// its source capture timestamp — carried inside the op encoding — so
+// the warehouse side measures true end-to-end freshness across the
+// wire.
 type Applier struct {
 	Topic *Topic
 	// Integrator applies batches; set Applied on it for exactly-once.
@@ -25,13 +25,11 @@ type Applier struct {
 	// SchemaOf resolves schemas for ops carrying before images; nil is
 	// fine when none do.
 	SchemaOf func(table string) (*catalog.Schema, error)
-	// Tracer, when set, traces each op's dequeue→durable lifecycle.
-	Tracer *obs.Tracer
-	// Spans, when set (together with Tracer), completes wire-propagated
-	// traces: a dequeued op claiming a span handoff emits
-	// queue/apply/durable spans when its lifecycle finishes, plus the
-	// skew-corrected end-to-end observation that drives the slow-span
-	// log.
+	// Spans, when set, traces each op from dequeue to durable into the
+	// stage histograms and the skew-corrected end-to-end lag. An op
+	// claiming a span handoff also completes its wire trace: its
+	// queue/lock/apply/durable spans join the ring under the persist
+	// span, and a slow end-to-end lag reaches the slow-span log.
 	Spans *obs.SpanTracer
 	// Bootstrap, when set, is this source's snapshot-bootstrap
 	// coordinator: the applier feeds it every applied batch (footprints
@@ -76,7 +74,11 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	lagRaw := reg.Histogram("netrepl_replication_lag_raw_seconds", obs.DurationBuckets, l)
 	lagCorrected := reg.Histogram("netrepl_replication_lag_seconds", obs.DurationBuckets, l)
 	lagGauge := reg.Gauge("netrepl_replication_lag_ns", l)
+	stopping := false
 	for {
+		// The source's clock offset, for moving capture stamps onto this
+		// process's clock.
+		skew, _, _ := a.Topic.Skew()
 		var batch []*opdelta.Op
 		for len(batch) < batchOps {
 			msg, err := a.Topic.Q.Next()
@@ -90,22 +92,25 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 			if err != nil {
 				return err
 			}
-			op.Trace = a.Tracer.Begin(op.Seq, op.Txn, op.Time)
-			op.Trace.Dequeued()
 			// Claim the span handoff for every dequeued op even when
 			// tracing is off here — an unclaimed handoff is an orphan.
-			if h := a.Topic.TakeSpanHandoff(op.Seq); h != nil && a.Spans != nil && op.Trace != nil {
-				a.hookSpans(op.Trace, h)
-			}
+			h := a.Topic.TakeSpanHandoff(op.Seq)
+			op.Trace = a.beginTrace(op, h, skew)
+			op.Trace.Dequeued()
 			batch = append(batch, op)
 		}
 		if len(batch) == 0 {
+			if stopping {
+				return nil
+			}
 			if err := a.Bootstrap.Poll(); err != nil {
 				return err
 			}
+			// Ops can land while we sleep here; after stop, read the
+			// queue once more and return only when it is still empty.
 			select {
 			case <-stop:
-				return nil
+				stopping = true
 			case <-time.After(poll):
 			}
 			continue
@@ -136,48 +141,23 @@ func (a *Applier) Run(stop <-chan struct{}) error {
 	}
 }
 
-// hookSpans arranges for the op's trace completion (stamped by the
-// integrator workers) to emit the server-side spans of its wire trace:
-// queue (durable on topic → dequeued), apply (dequeue/lock → applied),
-// durable (applied → fsynced), and the end-to-end freshness
-// observation corrected by the source's clock offset.
-func (a *Applier) hookSpans(tr *obs.Trace, h *SpanHandoff) {
-	spans, topic := a.Spans, a.Topic
-	tr.SetOnDone(func(rec obs.TraceRecord) {
-		tid := h.TC.TraceID
-		persistID := obs.SpanIDFor(tid, "persist")
-		queueID := obs.SpanIDFor(tid, "queue")
-		applyID := obs.SpanIDFor(tid, "apply")
-		durableID := obs.SpanIDFor(tid, "durable")
-		queueStart := h.PersistEndNs()
-		if queueStart == 0 {
-			queueStart = h.RecvNs // applier outran the persist stamp
-		}
-		if rec.Dequeued != 0 {
-			spans.Record(obs.SpanRecord{TraceID: tid, SpanID: queueID, ParentID: persistID,
-				Name: "queue", Source: topic.Source, Seq: rec.Seq,
-				StartUnixNs: queueStart, EndUnixNs: rec.Dequeued})
-		}
-		applyStart := rec.Locked
-		if applyStart == 0 {
-			applyStart = rec.Dequeued
-		}
-		if applyStart != 0 && rec.Applied != 0 {
-			spans.Record(obs.SpanRecord{TraceID: tid, SpanID: applyID, ParentID: queueID,
-				Name: "apply", Source: topic.Source, Seq: rec.Seq,
-				StartUnixNs: applyStart, EndUnixNs: rec.Applied})
-		}
-		if rec.Applied != 0 && rec.Durable != 0 {
-			spans.Record(obs.SpanRecord{TraceID: tid, SpanID: durableID, ParentID: applyID,
-				Name: "durable", Source: topic.Source, Seq: rec.Seq,
-				StartUnixNs: rec.Applied, EndUnixNs: rec.Durable})
-		}
-		if rec.Durable != 0 && h.TC.CaptureUnixNs != 0 {
-			lag := rec.Durable - h.TC.CaptureUnixNs
-			if off, _, ok := topic.Skew(); ok {
-				lag -= off
-			}
-			spans.ObserveE2E(tid, topic.Source, rec.Seq, lag)
-		}
-	})
+// beginTrace starts op's trace. Without a handoff the trace is
+// unsampled and measures from the op's own capture time. With one it
+// joins the batch's wire trace under the server's persist span,
+// measures from the frame's capture time (its oldest op), and is
+// queued from the moment the batch became durable on the topic — or,
+// if the applier outran that stamp, from when the frame arrived.
+func (a *Applier) beginTrace(op *opdelta.Op, h *SpanHandoff, skew int64) *obs.Trace {
+	if h == nil {
+		return a.Spans.Begin(a.Topic.Source, op.Seq, obs.TraceContext{CaptureUnixNs: op.Time.UnixNano() + skew})
+	}
+	tid := h.TC.TraceID
+	tr := a.Spans.Begin(a.Topic.Source, op.Seq, obs.TraceContext{TraceID: tid,
+		SpanID: obs.SpanIDFor(tid, "persist"), CaptureUnixNs: h.TC.CaptureUnixNs + skew})
+	queued := h.PersistEndNs()
+	if queued == 0 {
+		queued = h.RecvNs
+	}
+	tr.EnqueuedAt(queued)
+	return tr
 }

@@ -304,6 +304,54 @@ func TestReplicationFaultyNetworkConverges(t *testing.T) {
 	}
 }
 
+// TestApplierDrainsOnStop: ops that land while the applier sleeps out
+// an empty poll must still be applied when stop closes during that
+// sleep — a graceful drain loses nothing the server has acked.
+func TestApplierDrainsOnStop(t *testing.T) {
+	src := newReplSource(t)
+	src.workload(t, 10, 0)
+	want := src.maxSeq(t)
+	srv := NewServer(ServerConfig{Dir: t.TempDir()})
+	t.Cleanup(func() { srv.Shutdown() })
+	topic, err := srv.Topic("src-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh := newReplWarehouse(t, src.schema)
+	ap := &Applier{Topic: topic, Integrator: wh.integ, SchemaOf: src.schemaOf, PollEvery: time.Hour}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- ap.Run(stop) }()
+
+	// The applier finds the topic empty at once; give it time to park in
+	// its hour-long poll before the ops land.
+	time.Sleep(50 * time.Millisecond)
+	ops, err := src.log.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		enc, err := op.Encode(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topic.Q.Append(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	maxApplied, err := wh.integ.Applied.MaxSeq()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxApplied != want {
+		t.Fatalf("applier stopped at applied seq %d, want %d", maxApplied, want)
+	}
+}
+
 // TestShipperResumesAfterServerRestart kills the server mid-stream,
 // restarts it over the same topic directory, and checks the shipper
 // resumes from the durable seq with no gap and no duplicate in the
@@ -344,10 +392,12 @@ func TestShipperResumesAfterServerRestart(t *testing.T) {
 
 	// Let a prefix land, then hard-stop the first server.
 	waitFor(t, 10*time.Second, "prefix delivery", func() bool { return topic1.LastSeq() >= want/3 })
-	atRestart := topic1.LastSeq()
 	srv1.Shutdown()
 	nw.Close()
 	<-done1
+	// Read the watermark only once the first server has fully stopped:
+	// batches can still land between the wait above and the shutdown.
+	atRestart := topic1.LastSeq()
 
 	// Restart over the same directory: the topic's lastSeq must be
 	// recovered from the queue file, and WELCOME resumes the shipper

@@ -252,7 +252,7 @@ func (in *OpDeltaIntegrator) metrics() *applyMetrics {
 	return in.m
 }
 
-// Apply replays the ops in order. Ops carrying a lifecycle trace are
+// Apply replays the ops in order. Ops carrying a trace are
 // stamped applied when their statements have run and durable once
 // their warehouse transaction commits.
 func (in *OpDeltaIntegrator) Apply(ops []*opdelta.Op) (ApplyStats, error) {

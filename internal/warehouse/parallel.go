@@ -17,7 +17,7 @@ import (
 // granularity like OpDeltaIntegrator with GroupByTxn, but dispatches
 // independent source transactions onto a bounded worker pool. Two
 // transactions are independent when their key footprints (see
-// opdelta.StatementFootprint) are disjoint on every table; conflicting
+// keyset.StatementFootprint) are disjoint on every table; conflicting
 // transactions are ordered by a dependency DAG so they retain source
 // commit order, and anything the analysis cannot bound falls back to
 // conflicting with everything — serial order, never wrong answers.
@@ -63,7 +63,7 @@ func (in *ParallelIntegrator) metrics() *applyMetrics {
 type txnGroup struct {
 	ops []*opdelta.Op
 	// foot maps lower(source table) -> key footprint on that table.
-	foot map[string]opdelta.Footprint
+	foot map[string]keyset.Footprint
 	// universal marks the serial fallback: the group conflicts with
 	// every other group (unparseable op or undeterminable key set).
 	universal bool
@@ -109,7 +109,7 @@ func (w *Warehouse) conflictKey(table string) (*catalog.Schema, string) {
 
 // analyze computes one group's footprints and lock plan.
 func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
-	g := &txnGroup{ops: ops, foot: make(map[string]opdelta.Footprint)}
+	g := &txnGroup{ops: ops, foot: make(map[string]keyset.Footprint)}
 	lockSet := make(map[string]bool)
 	// mustWhole marks tables whose maintenance is not keyed by the
 	// source PK (agg views, join views and partners, PK-dropping views):
@@ -120,18 +120,18 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 	// the projected source PK, so the key values coincide).
 	mustWhole := make(map[string]bool)
 	rangeSrc := make(map[string]string)
-	addFoot := func(table string, fp opdelta.Footprint) {
+	addFoot := func(table string, fp keyset.Footprint) {
 		key := strings.ToLower(table)
 		g.foot[key] = g.foot[key].Union(fp)
 	}
 	for _, op := range ops {
 		schema, pk := in.W.conflictKey(op.Table)
-		fp := opdelta.WholeTable()
+		fp := keyset.WholeTable()
 		stmt, err := op.Statement()
 		if err != nil {
 			g.universal = true
 		} else {
-			fp = opdelta.StatementFootprint(stmt, schema, pk)
+			fp = keyset.StatementFootprint(stmt, schema, pk)
 		}
 		if in.W.HasReplica(op.Table) {
 			lockSet[op.Table] = true
@@ -145,13 +145,13 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 				// effectively reads arbitrary partner rows and patches
 				// arbitrary view rows, so widen to whole-table on both
 				// sides and lock the partner too.
-				fp = opdelta.WholeTable()
+				fp = keyset.WholeTable()
 				mustWhole[v.Def.Name] = true
 				partner := v.Def.Join.Table
 				if strings.EqualFold(partner, op.Table) {
 					partner = v.Def.Source
 				}
-				addFoot(partner, opdelta.WholeTable())
+				addFoot(partner, keyset.WholeTable())
 				lockSet[partner] = true
 				mustWhole[partner] = true
 			case v.pkInView < 0:
@@ -160,7 +160,7 @@ func (in *ParallelIntegrator) analyze(ops []*opdelta.Op) *txnGroup {
 				// rows other keys contributed. That is order-sensitive
 				// across key-disjoint transactions, so widen to
 				// whole-table and let the DAG serialize them.
-				fp = opdelta.WholeTable()
+				fp = keyset.WholeTable()
 				mustWhole[v.Def.Name] = true
 			default:
 				rangeSrc[v.Def.Name] = strings.ToLower(op.Table)

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"math"
 	"testing"
 
 	"opdelta/internal/obs"
@@ -8,20 +9,22 @@ import (
 )
 
 // TestParallelApplyTraceMonotone runs a captured workload through the
-// lifecycle tracer end to end in-process: the test plays the transport
-// role (Begin + Enqueued + Dequeued), the parallel integrator stamps
-// lock/apply/durable and completes each trace, and every completed
-// record must be monotone in pipeline order with freshness covering
-// the full capture->durable span. The parallel appliers stamp traces
-// from several goroutines, so the race detector covers the tracer's
-// hot path here too.
+// span tracer end to end in-process: the test plays the transport role
+// (Begin + Enqueued + Dequeued), the parallel integrator stamps
+// lock/apply/durable and completes each trace, and every trace's span
+// chain must be monotone in pipeline order and contiguous from capture
+// to durable. The parallel appliers stamp traces from several
+// goroutines, so the race detector covers the tracer's hot path here
+// too.
 func TestParallelApplyTraceMonotone(t *testing.T) {
 	w := equivWarehouse(t, wal.SyncFull, false)
 	ops := randomOpWorkload(t, 7, 30)
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(reg, len(ops)+1)
+	stages := []string{obs.StageCapture, obs.StageQueue, obs.StageLock, obs.StageApply, obs.StageDurable}
+	spans := obs.NewSpanTracer(reg, len(stages)*len(ops)+1)
 	for _, op := range ops {
-		tr := tracer.Begin(op.Seq, op.Txn, op.Time)
+		tr := spans.Begin("src", op.Seq, obs.TraceContext{
+			TraceID: obs.TraceID("src", op.Seq), CaptureUnixNs: op.Time.UnixNano()})
 		tr.Enqueued()
 		tr.Dequeued()
 		op.Trace = tr
@@ -31,46 +34,41 @@ func TestParallelApplyTraceMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := tracer.Recent(0)
-	if len(recs) != len(ops) {
-		t.Fatalf("completed traces = %d, want %d", len(recs), len(ops))
-	}
-	for _, r := range recs {
-		stamps := []struct {
-			name string
-			ns   int64
-		}{
-			{"captured", r.Captured},
-			{"enqueued", r.Enqueued},
-			{"dequeued", r.Dequeued},
-			{"locked", r.Locked},
-			{"applied", r.Applied},
-			{"durable", r.Durable},
+	var freshSum float64
+	for _, op := range ops {
+		chain := spans.TraceSpans(obs.TraceID("src", op.Seq))
+		if len(chain) != len(stages) {
+			t.Fatalf("trace seq=%d has %d spans, want %d: %+v", op.Seq, len(chain), len(stages), chain)
 		}
-		prev := stamps[0]
-		for _, s := range stamps[1:] {
-			if s.ns == 0 {
-				t.Fatalf("trace seq=%d missing %s stamp", r.Seq, s.name)
+		prevEnd := op.Time.UnixNano()
+		var prevID uint64
+		for i, sp := range chain {
+			if sp.Name != stages[i] {
+				t.Fatalf("trace seq=%d span %d = %s, want %s", op.Seq, i, sp.Name, stages[i])
 			}
-			if s.ns < prev.ns {
-				t.Errorf("trace seq=%d: %s (%d) precedes %s (%d)", r.Seq, s.name, s.ns, prev.name, prev.ns)
+			if sp.StartUnixNs != prevEnd || sp.ParentID != prevID {
+				t.Errorf("trace seq=%d: %s (start %d, parent %x) not chained to its predecessor (end %d, id %x)",
+					op.Seq, sp.Name, sp.StartUnixNs, sp.ParentID, prevEnd, prevID)
 			}
-			prev = s
+			if sp.EndUnixNs < sp.StartUnixNs {
+				t.Errorf("trace seq=%d: %s ends (%d) before it starts (%d)", op.Seq, sp.Name, sp.EndUnixNs, sp.StartUnixNs)
+			}
+			prevEnd, prevID = sp.EndUnixNs, sp.SpanID
 		}
-		if want := r.Durable - r.Captured; r.FreshnessNs != want {
-			t.Errorf("trace seq=%d freshness = %d, want %d", r.Seq, r.FreshnessNs, want)
+		freshness := prevEnd - op.Time.UnixNano()
+		if freshness <= 0 {
+			t.Errorf("trace seq=%d freshness = %d, want > 0", op.Seq, freshness)
 		}
-		if r.FreshnessNs <= 0 {
-			t.Errorf("trace seq=%d freshness = %d, want > 0", r.Seq, r.FreshnessNs)
-		}
+		freshSum += float64(freshness) / 1e9
 	}
 
 	snap := reg.Snapshot()
-	if m := snap.Get("delta_freshness_lag_seconds"); m == nil || m.Count != uint64(len(ops)) {
-		t.Fatalf("freshness histogram count = %+v, want %d observations", m, len(ops))
+	// Freshness covers each chain from capture to durable.
+	if m := snap.Get("span_e2e_seconds"); m == nil || m.Count != uint64(len(ops)) || math.Abs(m.Sum-freshSum) > 1e-9*freshSum {
+		t.Fatalf("e2e histogram = %+v, want %d observations summing to %g", m, len(ops), freshSum)
 	}
 	for _, stage := range []string{"lock", "apply", "durable"} {
-		m := snap.Get("delta_stage_seconds", obs.L("stage", stage))
+		m := snap.Get("span_stage_seconds", obs.L("stage", stage))
 		if m == nil || m.Count != uint64(len(ops)) {
 			t.Fatalf("stage %q histogram = %+v, want %d observations", stage, m, len(ops))
 		}
