@@ -342,7 +342,7 @@ func RunBootstrap(cfg BootstrapConfig) (*BootstrapReport, error) {
 		}
 		h := &serverHandle{rep: r}
 		h.srv = netrepl.NewServer(netrepl.ServerConfig{
-			Dir: topicDir,
+			Dir:       topicDir,
 			Bootstrap: func(string) (*netrepl.Bootstrapper, error) { return r.boot, nil },
 		})
 		serveOn(h, nw)

@@ -9,8 +9,8 @@ import (
 
 	"opdelta/internal/catalog"
 	"opdelta/internal/keyset"
-	"opdelta/internal/opdelta"
 	"opdelta/internal/obs"
+	"opdelta/internal/opdelta"
 	"opdelta/internal/warehouse"
 )
 

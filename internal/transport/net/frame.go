@@ -32,22 +32,15 @@ import (
 	"opdelta/internal/obs"
 )
 
-// Protocol version, sent in HELLO and checked by the server. Version 2
-// adds snapshot bootstrap: HELLO carries the source log's truncation
-// base, WELCOME carries a mode byte plus per-table bootstrap progress,
-// and the WATERMARK / SNAPSHOT_CHUNK / CHUNK_ACK frames bracket chunked
-// state transfer with low/high watermarks (DBLog-style). Version 3
-// adds tracing and clock-skew estimation: HELLO carries the client's
-// send timestamp, WELCOME echoes it with the server's receive/send
-// pair (the first NTP-style exchange), HEARTBEAT probes carry further
-// exchanges plus the client's current offset estimate, and DELTA /
+// Protocol version, sent in HELLO and checked by the server, which
+// REJECTs any other. Every payload has exactly one shape: HELLO carries
+// the source log's truncation base and the client's send timestamp,
+// WELCOME a mode byte, per-table bootstrap progress and the first
+// NTP-style skew exchange, HEARTBEAT probes and echoes further
+// exchanges, WATERMARK / SNAPSHOT_CHUNK / CHUNK_ACK bracket chunked
+// state transfer with low/high watermarks (DBLog-style), and DELTA /
 // SNAPSHOT_CHUNK frames may carry a FlagTrace span-context trailer.
-// The server accepts version-2 peers unchanged — every v3 field is
-// either version-gated or flag-gated, so old peers never see it.
-const (
-	Version    = 3
-	minVersion = 2
-)
+const Version = 3
 
 // Frame types.
 const (
@@ -96,9 +89,8 @@ const (
 const FlagReply = byte(1)
 
 // FlagTrace marks a DELTA or SNAPSHOT_CHUNK payload as ending in a
-// trace-context trailer (see appendTraceTrailer). Flag-gated so a
-// sender that is not sampling — or an old peer — produces payloads
-// byte-identical to version 2.
+// trace-context trailer (see appendTraceTrailer). Flag-gated so an
+// unsampled frame carries no trailer bytes.
 const FlagTrace = byte(1 << 1)
 
 const headerSize = 10
@@ -196,7 +188,7 @@ func ReadFrame(r io.Reader) (typ, flags byte, payload []byte, err error) {
 // Bootstrap modes negotiated in WELCOME.
 const (
 	// ModeStream: the replica can resume from the delta stream alone;
-	// the shipper sends deltas after the WELCOME seq, as in version 1.
+	// the shipper sends deltas after the WELCOME seq.
 	ModeStream = byte(0)
 	// ModeBootstrap: the replica needs (or is resuming) a snapshot
 	// bootstrap; WELCOME carries per-table chunk progress and the
@@ -214,10 +206,104 @@ type BootstrapProgress struct {
 	LastKey []byte
 }
 
+// payloadReader decodes a frame payload field by field. The first
+// short or malformed field sticks: it names the frame and the field in
+// err, and every later read returns a zero value, so a parser reads
+// all its fields and checks once, through done. Slices it returns
+// alias the payload.
+type payloadReader struct {
+	p     []byte
+	frame string
+	err   error
+}
+
+func (r *payloadReader) fail(field string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s %s", ErrBadFrame, r.frame, field)
+	}
+	r.p = nil
+}
+
+// u64 reads a fixed 8-byte little-endian field.
+func (r *payloadReader) u64(field string) uint64 {
+	if len(r.p) < 8 {
+		r.fail(field)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.p)
+	r.p = r.p[8:]
+	return v
+}
+
+func (r *payloadReader) uvarint(field string) uint64 {
+	v, k := binary.Uvarint(r.p)
+	if k <= 0 {
+		r.fail(field)
+		return 0
+	}
+	r.p = r.p[k:]
+	return v
+}
+
+func (r *payloadReader) byte(field string) byte {
+	if len(r.p) < 1 {
+		r.fail(field)
+		return 0
+	}
+	v := r.p[0]
+	r.p = r.p[1:]
+	return v
+}
+
+// blob reads a uvarint-length-prefixed byte string.
+func (r *payloadReader) blob(field string) []byte {
+	n := r.uvarint(field)
+	if uint64(len(r.p)) < n {
+		r.fail(field)
+		return nil
+	}
+	b := r.p[:n]
+	r.p = r.p[n:]
+	return b
+}
+
+// count reads a uvarint element count. Each element takes at least
+// minSize payload bytes, so a count the remaining bytes cannot hold is
+// malformed — rejecting it here keeps a wire-supplied count from
+// sizing an allocation.
+func (r *payloadReader) count(field string, minSize int) int {
+	n := r.uvarint(field)
+	if n > uint64(len(r.p)/minSize) {
+		r.fail(field)
+		return 0
+	}
+	return int(n)
+}
+
+// times reads a 24-byte skew exchange.
+func (r *payloadReader) times() skewTimes {
+	return skewTimes{T0: int64(r.u64("t0")), T1: int64(r.u64("t1")), T2: int64(r.u64("t2"))}
+}
+
+// rest takes the unframed payload tail.
+func (r *payloadReader) rest() []byte {
+	b := r.p
+	r.p = nil
+	return b
+}
+
+// done reports the first field error, or trailing bytes no field
+// consumed.
+func (r *payloadReader) done() error {
+	if r.err == nil && len(r.p) > 0 {
+		r.fail("trailing bytes")
+	}
+	return r.err
+}
+
 // helloPayload encodes HELLO: version byte, uvarint source-log
-// truncation base, 8-byte client send timestamp (unix ns, version 3 —
-// inserted before the source because the source id is the unbounded
-// payload tail), source id.
+// truncation base, 8-byte client send timestamp (unix ns), source id
+// (the unbounded payload tail).
 func helloPayload(source string, base uint64, sendUnixNs int64) []byte {
 	out := make([]byte, 0, 1+binary.MaxVarintLen64+8+len(source))
 	out = append(out, Version)
@@ -226,48 +312,22 @@ func helloPayload(source string, base uint64, sendUnixNs int64) []byte {
 	return append(out, source...)
 }
 
-// parseHello decodes a HELLO payload. A version-1 payload (no base
-// field) parses with base 0 so the server can name the version in its
-// REJECT instead of dropping the connection on a frame error; a
-// version-2 payload parses with sendUnixNs 0 (no skew exchange).
+// parseHello decodes a HELLO payload. The version byte is read before
+// anything else, so the server can name a foreign version in its
+// REJECT whatever shape the rest of that payload has.
 func parseHello(p []byte) (version byte, base uint64, sendUnixNs int64, source string, err error) {
-	if len(p) < 2 {
-		return 0, 0, 0, "", fmt.Errorf("%w: HELLO too short", ErrBadFrame)
-	}
-	version = p[0]
-	if version < 2 {
-		return version, 0, 0, string(p[1:]), nil
-	}
-	base, k := binary.Uvarint(p[1:])
-	if k <= 0 || len(p) < 1+k+1 {
-		return 0, 0, 0, "", fmt.Errorf("%w: HELLO base", ErrBadFrame)
-	}
-	pos := 1 + k
-	if version >= 3 {
-		if len(p) < pos+8+1 {
-			return 0, 0, 0, "", fmt.Errorf("%w: HELLO timestamp", ErrBadFrame)
-		}
-		sendUnixNs = int64(binary.LittleEndian.Uint64(p[pos : pos+8]))
-		pos += 8
-	}
-	return version, base, sendUnixNs, string(p[pos:]), nil
+	r := payloadReader{p: p, frame: "HELLO"}
+	version = r.byte("version")
+	base = r.uvarint("base")
+	sendUnixNs = int64(r.u64("timestamp"))
+	source = string(r.rest())
+	return version, base, sendUnixNs, source, r.done()
 }
 
 // appendBlob appends a uvarint-length-prefixed byte string.
 func appendBlob(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-// takeBlob reads a uvarint-length-prefixed byte string at pos. The
-// returned slice aliases p.
-func takeBlob(p []byte, pos int) ([]byte, int, error) {
-	l, k := binary.Uvarint(p[pos:])
-	if k <= 0 || uint64(len(p)-pos-k) < l {
-		return nil, 0, fmt.Errorf("%w: truncated blob", ErrBadFrame)
-	}
-	pos += k
-	return p[pos : pos+int(l)], pos + int(l), nil
 }
 
 // skewTimes carries one NTP-style timestamp exchange: t0 the client's
@@ -284,26 +344,13 @@ func appendSkewTimes(out []byte, ts skewTimes) []byte {
 	return binary.LittleEndian.AppendUint64(out, uint64(ts.T2))
 }
 
-const skewTimesLen = 24
-
-func parseSkewTimes(p []byte) skewTimes {
-	return skewTimes{
-		T0: int64(binary.LittleEndian.Uint64(p[0:8])),
-		T1: int64(binary.LittleEndian.Uint64(p[8:16])),
-		T2: int64(binary.LittleEndian.Uint64(p[16:24])),
-	}
-}
-
 // welcomePayload encodes WELCOME: 8-byte resume seq, mode byte, in
 // ModeBootstrap a uvarint table count followed by per-table progress
 // (blob table name, state byte 0=in-progress 1=done, blob last key),
-// and — for version-3 clients — a fixed 24-byte timestamp exchange
-// (ts non-nil) completing the HELLO's skew probe.
-func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts *skewTimes) []byte {
-	out := make([]byte, 0, 16)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], seq)
-	out = append(out, buf[:]...)
+// then the 24-byte timestamp exchange completing the HELLO's skew
+// probe.
+func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts skewTimes) []byte {
+	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 9+24), seq)
 	out = append(out, mode)
 	if mode == ModeBootstrap {
 		out = binary.AppendUvarint(out, uint64(len(progress)))
@@ -317,68 +364,34 @@ func welcomePayload(seq uint64, mode byte, progress []BootstrapProgress, ts *ske
 			out = appendBlob(out, pr.LastKey)
 		}
 	}
-	if ts != nil {
-		out = appendSkewTimes(out, *ts)
-	}
-	return out
+	return appendSkewTimes(out, ts)
 }
 
-// parseWelcome decodes a WELCOME payload. A bare 8-byte payload (the
-// version-1 shape) parses as ModeStream; exactly 24 bytes beyond the
-// structural fields are the version-3 timestamp exchange.
-func parseWelcome(p []byte) (seq uint64, mode byte, progress []BootstrapProgress, ts *skewTimes, err error) {
-	if len(p) < 8 {
-		return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME %d bytes", ErrBadFrame, len(p))
-	}
-	seq = binary.LittleEndian.Uint64(p[:8])
-	if len(p) == 8 {
-		return seq, ModeStream, nil, nil, nil
-	}
-	mode = p[8]
-	pos := 9
+// parseWelcome decodes a WELCOME payload.
+func parseWelcome(p []byte) (seq uint64, mode byte, progress []BootstrapProgress, ts skewTimes, err error) {
+	r := payloadReader{p: p, frame: "WELCOME"}
+	seq = r.u64("seq")
+	mode = r.byte("mode")
 	if mode == ModeBootstrap {
-		n, k := binary.Uvarint(p[pos:])
-		if k <= 0 {
-			return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME table count", ErrBadFrame)
-		}
-		pos += k
-		for i := uint64(0); i < n; i++ {
-			var table, key []byte
-			if table, pos, err = takeBlob(p, pos); err != nil {
-				return 0, 0, nil, nil, err
-			}
-			if pos >= len(p) {
-				return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME progress state", ErrBadFrame)
-			}
-			state := p[pos]
-			pos++
-			if key, pos, err = takeBlob(p, pos); err != nil {
-				return 0, 0, nil, nil, err
-			}
-			pr := BootstrapProgress{Table: string(table), Done: state == 1}
-			if len(key) > 0 {
+		// An entry is at least two length bytes and a state byte.
+		n := r.count("table count", 3)
+		for i := 0; i < n; i++ {
+			pr := BootstrapProgress{Table: string(r.blob("table"))}
+			pr.Done = r.byte("progress state") == 1
+			if key := r.blob("last key"); len(key) > 0 {
 				pr.LastKey = append([]byte(nil), key...)
 			}
 			progress = append(progress, pr)
 		}
 	}
-	switch len(p) - pos {
-	case 0:
-	case skewTimesLen:
-		t := parseSkewTimes(p[pos:])
-		ts = &t
-		pos += skewTimesLen
-	default:
-		return 0, 0, nil, nil, fmt.Errorf("%w: WELCOME trailing bytes", ErrBadFrame)
-	}
-	return seq, mode, progress, ts, nil
+	ts = r.times()
+	return seq, mode, progress, ts, r.done()
 }
 
-// Heartbeat payloads (version 3). A probe carries the client's send
-// time plus its current skew estimate, so the server learns the
-// offset the client computed from earlier exchanges; the echo carries
-// the full three-timestamp exchange back. Version-2 heartbeats have
-// empty payloads and are echoed empty.
+// Heartbeat payloads. A probe carries the client's send time plus its
+// current skew estimate, so the server learns the offset the client
+// computed from earlier exchanges; the echo carries the full
+// three-timestamp exchange back.
 
 // probePayload encodes a HEARTBEAT probe: 8-byte send time, 8-byte
 // offset estimate (server−client ns), 8-byte RTT of that estimate's
@@ -396,34 +409,27 @@ func probePayload(sendUnixNs, offsetNs, rttNs int64, hasEstimate bool) []byte {
 	return out
 }
 
-const probeLen = 25
-
-// parseProbe decodes a HEARTBEAT probe; ok is false for the empty
-// version-2 payload (or anything else unrecognized — heartbeats are
-// liveness first, measurement second).
-func parseProbe(p []byte) (sendUnixNs, offsetNs, rttNs int64, hasEstimate, ok bool) {
-	if len(p) != probeLen {
-		return 0, 0, 0, false, false
-	}
-	return int64(binary.LittleEndian.Uint64(p[0:8])),
-		int64(binary.LittleEndian.Uint64(p[8:16])),
-		int64(binary.LittleEndian.Uint64(p[16:24])),
-		p[24] == 1, true
+// parseProbe decodes a HEARTBEAT probe.
+func parseProbe(p []byte) (sendUnixNs, offsetNs, rttNs int64, hasEstimate bool, err error) {
+	r := payloadReader{p: p, frame: "HEARTBEAT"}
+	sendUnixNs = int64(r.u64("send time"))
+	offsetNs = int64(r.u64("offset"))
+	rttNs = int64(r.u64("rtt"))
+	hasEstimate = r.byte("has-estimate") == 1
+	return sendUnixNs, offsetNs, rttNs, hasEstimate, r.done()
 }
 
 // echoPayload encodes a HEARTBEAT echo: the probe's timestamp
 // exchange.
 func echoPayload(ts skewTimes) []byte {
-	return appendSkewTimes(make([]byte, 0, skewTimesLen), ts)
+	return appendSkewTimes(make([]byte, 0, 24), ts)
 }
 
-// parseEcho decodes a HEARTBEAT echo; ok is false for the empty
-// version-2 echo.
-func parseEcho(p []byte) (ts skewTimes, ok bool) {
-	if len(p) != skewTimesLen {
-		return skewTimes{}, false
-	}
-	return parseSkewTimes(p), true
+// parseEcho decodes a HEARTBEAT echo.
+func parseEcho(p []byte) (skewTimes, error) {
+	r := payloadReader{p: p, frame: "HEARTBEAT echo"}
+	ts := r.times()
+	return ts, r.done()
 }
 
 // Watermark kinds.
@@ -445,26 +451,14 @@ func watermarkPayload(kind byte, chunkID, round, seq uint64) []byte {
 
 // parseWatermark decodes a WATERMARK payload.
 func parseWatermark(p []byte) (kind byte, chunkID, round, seq uint64, err error) {
-	if len(p) < 4 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK %d bytes", ErrBadFrame, len(p))
+	r := payloadReader{p: p, frame: "WATERMARK"}
+	if kind = r.byte("kind"); kind != wmLow && kind != wmHigh {
+		r.fail("kind")
 	}
-	kind = p[0]
-	if kind != wmLow && kind != wmHigh {
-		return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK kind %d", ErrBadFrame, kind)
-	}
-	pos := 1
-	for _, dst := range []*uint64{&chunkID, &round, &seq} {
-		v, k := binary.Uvarint(p[pos:])
-		if k <= 0 {
-			return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK varint", ErrBadFrame)
-		}
-		*dst = v
-		pos += k
-	}
-	if pos != len(p) {
-		return 0, 0, 0, 0, fmt.Errorf("%w: WATERMARK trailing bytes", ErrBadFrame)
-	}
-	return kind, chunkID, round, seq, nil
+	chunkID = r.uvarint("chunk id")
+	round = r.uvarint("round")
+	seq = r.uvarint("seq")
+	return kind, chunkID, round, seq, r.done()
 }
 
 // Chunk flags.
@@ -498,48 +492,19 @@ func chunkPayload(chunkID, round uint64, flags byte, table string, lastKey []byt
 
 // parseChunk decodes a SNAPSHOT_CHUNK payload. Row slices alias p.
 func parseChunk(p []byte) (chunkID, round uint64, flags byte, table string, lastKey []byte, rows [][]byte, err error) {
-	pos := 0
-	var k int
-	chunkID, k = binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK id", ErrBadFrame)
-	}
-	pos += k
-	round, k = binary.Uvarint(p[pos:])
-	if k <= 0 || pos+k >= len(p) {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK round", ErrBadFrame)
-	}
-	pos += k
-	flags = p[pos]
-	pos++
-	var tb []byte
-	if tb, pos, err = takeBlob(p, pos); err != nil {
-		return 0, 0, 0, "", nil, nil, err
-	}
-	table = string(tb)
-	if lastKey, pos, err = takeBlob(p, pos); err != nil {
-		return 0, 0, 0, "", nil, nil, err
-	}
-	if len(lastKey) == 0 {
+	r := payloadReader{p: p, frame: "CHUNK"}
+	chunkID = r.uvarint("id")
+	round = r.uvarint("round")
+	flags = r.byte("flags")
+	table = string(r.blob("table"))
+	if lastKey = r.blob("last key"); len(lastKey) == 0 {
 		lastKey = nil
 	}
-	n, k := binary.Uvarint(p[pos:])
-	if k <= 0 {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK row count", ErrBadFrame)
+	rows = make([][]byte, r.count("row count", 1))
+	for i := range rows {
+		rows[i] = r.blob("row")
 	}
-	pos += k
-	rows = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var r []byte
-		if r, pos, err = takeBlob(p, pos); err != nil {
-			return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK row %d", ErrBadFrame, i)
-		}
-		rows = append(rows, r)
-	}
-	if pos != len(p) {
-		return 0, 0, 0, "", nil, nil, fmt.Errorf("%w: CHUNK trailing bytes", ErrBadFrame)
-	}
-	return chunkID, round, flags, table, lastKey, rows, nil
+	return chunkID, round, flags, table, lastKey, rows, r.done()
 }
 
 // Chunk ack statuses.
@@ -568,59 +533,34 @@ func chunkAckPayload(chunkID, round uint64, status byte, keys [][]byte) []byte {
 
 // parseChunkAck decodes a CHUNK_ACK payload. Key slices alias p.
 func parseChunkAck(p []byte) (chunkID, round uint64, status byte, keys [][]byte, err error) {
-	pos := 0
-	var k int
-	chunkID, k = binary.Uvarint(p)
-	if k <= 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK id", ErrBadFrame)
+	r := payloadReader{p: p, frame: "CHUNK_ACK"}
+	chunkID = r.uvarint("id")
+	round = r.uvarint("round")
+	status = r.byte("status")
+	keys = make([][]byte, r.count("key count", 1))
+	for i := range keys {
+		keys[i] = r.blob("key")
 	}
-	pos += k
-	round, k = binary.Uvarint(p[pos:])
-	if k <= 0 || pos+k >= len(p) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK round", ErrBadFrame)
-	}
-	pos += k
-	status = p[pos]
-	pos++
-	n, k := binary.Uvarint(p[pos:])
-	if k <= 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK key count", ErrBadFrame)
-	}
-	pos += k
-	keys = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var key []byte
-		if key, pos, err = takeBlob(p, pos); err != nil {
-			return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK key %d", ErrBadFrame, i)
-		}
-		keys = append(keys, key)
-	}
-	if pos != len(p) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: CHUNK_ACK trailing bytes", ErrBadFrame)
-	}
-	return chunkID, round, status, keys, nil
+	return chunkID, round, status, keys, r.done()
 }
 
-// seqPayload encodes the 8-byte seq payload of WELCOME and ACK frames.
+// seqPayload encodes the 8-byte seq payload of ACK frames.
 func seqPayload(seq uint64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], seq)
-	return buf[:]
+	return binary.LittleEndian.AppendUint64(nil, seq)
 }
 
-// parseSeq decodes a WELCOME/ACK payload.
+// parseSeq decodes an ACK payload.
 func parseSeq(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("%w: seq payload %d bytes", ErrBadFrame, len(p))
-	}
-	return binary.LittleEndian.Uint64(p), nil
+	r := payloadReader{p: p, frame: "ACK"}
+	seq := r.u64("seq")
+	return seq, r.done()
 }
 
 // deltaPayload frames a batch of already-encoded ops: uvarint prevSeq
 // (the sender's cursor immediately before this batch — the seq the
-// batch chains onto), uvarint count, then uvarint length + bytes per
-// op. Each op's own encoding carries its seq (bytes 0:8), so the batch
-// needs no further seq fields.
+// batch chains onto), uvarint count, then one blob per op. Each op's
+// own encoding carries its seq (bytes 0:8), so the batch needs no
+// further seq fields.
 //
 // prevSeq is what makes delivery loss-proof under segment reordering:
 // the server accepts a batch only when prevSeq matches its durable
@@ -635,8 +575,7 @@ func deltaPayload(prevSeq uint64, encOps [][]byte) []byte {
 	out = binary.AppendUvarint(out, prevSeq)
 	out = binary.AppendUvarint(out, uint64(len(encOps)))
 	for _, e := range encOps {
-		out = binary.AppendUvarint(out, uint64(len(e)))
-		out = append(out, e...)
+		out = appendBlob(out, e)
 	}
 	return out
 }
@@ -644,30 +583,13 @@ func deltaPayload(prevSeq uint64, encOps [][]byte) []byte {
 // parseDelta splits a DELTA payload back into its chain seq and the
 // encoded ops. The returned slices alias p.
 func parseDelta(p []byte) (prevSeq uint64, encOps [][]byte, err error) {
-	prevSeq, k := binary.Uvarint(p)
-	if k <= 0 {
-		return 0, nil, fmt.Errorf("%w: DELTA prev seq", ErrBadFrame)
+	r := payloadReader{p: p, frame: "DELTA"}
+	prevSeq = r.uvarint("prev seq")
+	encOps = make([][]byte, r.count("count", 1))
+	for i := range encOps {
+		encOps[i] = r.blob("op")
 	}
-	pos := k
-	count, k := binary.Uvarint(p[pos:])
-	if k <= 0 {
-		return 0, nil, fmt.Errorf("%w: DELTA count", ErrBadFrame)
-	}
-	pos += k
-	out := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, k := binary.Uvarint(p[pos:])
-		if k <= 0 || uint64(len(p)-pos-k) < l {
-			return 0, nil, fmt.Errorf("%w: DELTA op %d truncated", ErrBadFrame, i)
-		}
-		pos += k
-		out = append(out, p[pos:pos+int(l)])
-		pos += int(l)
-	}
-	if pos != len(p) {
-		return 0, nil, fmt.Errorf("%w: DELTA trailing bytes", ErrBadFrame)
-	}
-	return prevSeq, out, nil
+	return prevSeq, encOps, r.done()
 }
 
 // opSeq peeks the seq from an encoded op (bytes 0:8 of the op
@@ -679,7 +601,7 @@ func opSeq(enc []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(enc[0:8]), nil
 }
 
-// Trace-context trailer (version 3). When a frame's FlagTrace bit is
+// Trace-context trailer. When a frame's FlagTrace bit is
 // set, the last 24 bytes of its payload are the span context: 8-byte
 // trace id, 8-byte sending span id, 8-byte capture timestamp (unix
 // ns, sender's clock). The trailer sits outside the structural
@@ -698,8 +620,8 @@ func appendTraceTrailer(payload []byte, tc obs.TraceContext) []byte {
 
 // splitTraceTrailer strips the trailer when flags carry FlagTrace,
 // returning the context and the structural payload. Without the flag
-// the payload passes through untouched with a zero context — old
-// senders and unsampled frames take this path.
+// the payload passes through untouched with a zero context — unsampled
+// frames take this path.
 func splitTraceTrailer(flags byte, payload []byte) (obs.TraceContext, []byte, error) {
 	if flags&FlagTrace == 0 {
 		return obs.TraceContext{}, payload, nil

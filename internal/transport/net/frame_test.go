@@ -2,9 +2,12 @@ package netrepl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
+
+	"opdelta/internal/obs"
 )
 
 // TestFrameRoundTrip: every type and assorted payload sizes survive
@@ -111,20 +114,15 @@ func TestHelloRoundTrip(t *testing.T) {
 	if v != Version || src != "src-a" || base != 42 || sendNs != 777 {
 		t.Fatalf("parsed version %d source %q base %d sendNs %d", v, src, base, sendNs)
 	}
-	if _, _, _, _, err := parseHello([]byte{Version}); err == nil {
-		t.Fatal("empty source parsed successfully")
+	if _, _, _, _, err := parseHello([]byte{Version}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("HELLO without base: err = %v, want ErrBadFrame", err)
 	}
-	// A version-1 payload still parses (base 0) so the server can name
-	// the version mismatch in its REJECT.
-	if v1, b1, ts1, s1, err := parseHello(append([]byte{1}, "old"...)); err != nil || v1 != 1 || b1 != 0 || ts1 != 0 || s1 != "old" {
-		t.Fatalf("v1 hello: %d %d %d %q %v", v1, b1, ts1, s1, err)
-	}
-	// A version-2 payload (uvarint base, then source, no timestamp)
-	// still parses: v2 shippers talk to v3 servers unchanged.
-	v2p := append([]byte{2}, 42)
-	v2p = append(v2p, "src-a"...)
-	if v2, b2, ts2, s2, err := parseHello(v2p); err != nil || v2 != 2 || b2 != 42 || ts2 != 0 || s2 != "src-a" {
-		t.Fatalf("v2 hello: %d %d %d %q %v", v2, b2, ts2, s2, err)
+	// A foreign version is peeked before the rest of the payload, so
+	// the server can name it in its REJECT whatever shape follows.
+	for _, foreign := range [][]byte{append([]byte{1}, "old"...), append([]byte{2, 42}, "src-a"...)} {
+		if v, _, _, _, _ := parseHello(foreign); v != foreign[0] {
+			t.Fatalf("foreign HELLO %v: version = %d, want %d", foreign, v, foreign[0])
+		}
 	}
 	seq, err := parseSeq(seqPayload(1 << 40))
 	if err != nil || seq != 1<<40 {
@@ -133,6 +131,90 @@ func TestHelloRoundTrip(t *testing.T) {
 	if _, err := parseSeq([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short seq payload parsed successfully")
 	}
+}
+
+// hugeCount is a uvarint element count no payload can hold; before
+// counts were bounded by the bytes left it reached make() as a slice
+// capacity and panicked.
+var hugeCount = binary.AppendUvarint(nil, 1<<62)
+
+// TestPayloadCountBounded: every count-bearing parser rejects a count
+// larger than its remaining bytes as a corrupt frame.
+func TestPayloadCountBounded(t *testing.T) {
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	welcome := cat(seqPayload(7), []byte{ModeBootstrap}, hugeCount, make([]byte, 24))
+	cases := []struct {
+		name  string
+		parse func([]byte) error
+		p     []byte
+	}{
+		{"DELTA", func(p []byte) error { _, _, err := parseDelta(p); return err },
+			cat([]byte{0}, hugeCount)},
+		{"SNAPSHOT_CHUNK", func(p []byte) error { _, _, _, _, _, _, err := parseChunk(p); return err },
+			cat([]byte{1, 0, 0}, appendBlob(nil, []byte("parts")), appendBlob(nil, nil), hugeCount)},
+		{"CHUNK_ACK", func(p []byte) error { _, _, _, _, err := parseChunkAck(p); return err },
+			cat([]byte{1, 0, chunkResend}, hugeCount)},
+		{"WELCOME", func(p []byte) error { _, _, _, _, err := parseWelcome(p); return err }, welcome},
+	}
+	for _, c := range cases {
+		if err := c.parse(c.p); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s with count 2^62: err = %v, want ErrBadFrame", c.name, err)
+		}
+	}
+}
+
+// FuzzPayloadParsers feeds every input to every payload parser and the
+// trace-trailer split: none may panic, and every failure must be a
+// corrupt-frame error (the server drops the connection on exactly
+// those).
+func FuzzPayloadParsers(f *testing.F) {
+	// One valid payload of each kind, plus a huge-count DELTA.
+	tc := obs.TraceContext{TraceID: 1, SpanID: 2, CaptureUnixNs: 3}
+	seeds := [][]byte{
+		helloPayload("src-a", 42, 777),
+		welcomePayload(9, ModeBootstrap, []BootstrapProgress{{Table: "parts", LastKey: []byte("k")}, {Table: "t2", Done: true}},
+			skewTimes{T0: 1, T1: 2, T2: 3}),
+		welcomePayload(5, ModeStream, nil, skewTimes{T0: 4, T1: 5, T2: 6}),
+		seqPayload(42),
+		deltaPayload(6, [][]byte{append(seqPayload(7), "op"...), seqPayload(8)}),
+		appendTraceTrailer(deltaPayload(0, [][]byte{seqPayload(1)}), tc),
+		watermarkPayload(wmHigh, 3, 1, 99),
+		chunkPayload(3, 1, chunkFinal, "parts", []byte("pk"), [][]byte{[]byte("row-1"), nil}),
+		chunkAckPayload(3, 1, chunkResend, [][]byte{[]byte("k1"), []byte("k2")}),
+		probePayload(100, -7, 42, true),
+		echoPayload(skewTimes{T0: 1, T1: 2, T2: 3}),
+		append([]byte{0}, hugeCount...),
+	}
+	for _, p := range seeds {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		check := func(name string, err error) {
+			if err != nil && !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: err = %v, want nil or ErrBadFrame", name, err)
+			}
+		}
+		_, _, _, _, err := parseHello(p)
+		check("HELLO", err)
+		_, _, _, _, err = parseWelcome(p)
+		check("WELCOME", err)
+		_, err = parseSeq(p)
+		check("ACK", err)
+		_, _, err = parseDelta(p)
+		check("DELTA", err)
+		_, _, _, _, err = parseWatermark(p)
+		check("WATERMARK", err)
+		_, _, _, _, _, _, err = parseChunk(p)
+		check("SNAPSHOT_CHUNK", err)
+		_, _, _, _, err = parseChunkAck(p)
+		check("CHUNK_ACK", err)
+		_, _, _, _, err = parseProbe(p)
+		check("probe", err)
+		_, err = parseEcho(p)
+		check("echo", err)
+		_, _, err = splitTraceTrailer(FlagTrace, p)
+		check("trace trailer", err)
+	})
 }
 
 // io.Reader sanity: ReadFrame must work over a reader that returns one

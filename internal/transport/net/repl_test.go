@@ -3,7 +3,9 @@ package netrepl
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -467,8 +469,8 @@ func TestServerBusyAndReject(t *testing.T) {
 	if err != nil || typ != FrameWelcome {
 		t.Fatalf("first conn: %s, %v", frameName(typ), err)
 	}
-	if seq, _ := parseSeq(payload); seq != 0 {
-		t.Fatalf("fresh topic WELCOME seq = %d", seq)
+	if seq, _, _, _, err := parseWelcome(payload); err != nil || seq != 0 {
+		t.Fatalf("fresh topic WELCOME seq = %d, %v", seq, err)
 	}
 
 	// Second connection is shed with BUSY.
@@ -500,9 +502,56 @@ func TestServerBusyAndReject(t *testing.T) {
 		typ, _, _, err := ReadFrame(c3)
 		return err == nil && typ == FrameReject
 	})
-	if srv.cfg.Obs == nil {
-		t.Fatal("server registry missing")
+
+	// A version-2 HELLO ({version, base, source}) is refused by name.
+	_, typ, payload = dialHello(t, nw, append([]byte{2, 0}, "src"...))
+	if typ != FrameReject || !strings.Contains(string(payload), "unsupported version 2") {
+		t.Fatalf("v2 HELLO: %s %q, want REJECT naming version 2", frameName(typ), payload)
 	}
+
+	// An empty HEARTBEAT after WELCOME is a corrupt frame: the server
+	// counts it and drops the connection.
+	badFrames := srv.cfg.Obs.Counter("netrepl_server_bad_frames_total")
+	before := badFrames.Value()
+	c4, typ, _ := dialHello(t, nw, helloPayload("only", 0, 0))
+	if typ != FrameWelcome {
+		t.Fatalf("HELLO: %s, want WELCOME", frameName(typ))
+	}
+	if err := WriteFrame(c4, FrameHeartbeat, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	c4.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if typ, _, _, err := ReadFrame(c4); !errors.Is(err, io.EOF) {
+		t.Fatalf("empty HEARTBEAT: got %s, %v; want the connection closed", frameName(typ), err)
+	}
+	if got := badFrames.Value(); got != before+1 {
+		t.Fatalf("bad frames = %d, want %d", got, before+1)
+	}
+}
+
+// dialHello dials the server and sends a HELLO carrying payload,
+// redialing while the server sheds the connection with BUSY (a closed
+// connection's slot frees asynchronously). It returns the open
+// connection, closed at test end, and the server's first reply.
+func dialHello(t *testing.T, nw *fault.Net, hello []byte) (conn net.Conn, typ byte, payload []byte) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "HELLO reply", func() bool {
+		c, err := nw.Dial()
+		if err != nil {
+			return false
+		}
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		if err := WriteFrame(c, FrameHello, 0, hello); err == nil {
+			if typ, _, payload, err = ReadFrame(c); err == nil && typ != FrameBusy {
+				conn = c
+				return true
+			}
+		}
+		c.Close()
+		return false
+	})
+	t.Cleanup(func() { conn.Close() })
+	return conn, typ, payload
 }
 
 // TestServerDedupReplayedBatch re-sends an identical DELTA batch and
@@ -588,6 +637,33 @@ func TestServerDedupReplayedBatch(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("queue holds %d ops after replay, want 3", n)
+	}
+}
+
+// TestServerDropsHugeDeltaCount: a CRC-valid DELTA whose op count no
+// payload could hold is a corrupt frame, not an allocation — the server
+// drops that connection, counts it, and keeps serving.
+func TestServerDropsHugeDeltaCount(t *testing.T) {
+	nw := fault.NewNet(fault.NetProfile{Seed: 5})
+	srv := startServer(t, nw, ServerConfig{Dir: t.TempDir(), Lease: time.Second})
+	badFrames := srv.cfg.Obs.Counter("netrepl_server_bad_frames_total")
+
+	conn, typ, _ := dialHello(t, nw, helloPayload("huge-src", 0, 0))
+	if typ != FrameWelcome {
+		t.Fatalf("handshake: %s, want WELCOME", frameName(typ))
+	}
+	if err := WriteFrame(conn, FrameDelta, 0, append([]byte{0}, hugeCount...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if typ, _, _, err := ReadFrame(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("huge-count DELTA: got %s, %v; want the connection closed", frameName(typ), err)
+	}
+	if got := badFrames.Value(); got != 1 {
+		t.Fatalf("bad frames = %d, want 1", got)
+	}
+	if _, typ, _ := dialHello(t, nw, helloPayload("huge-src", 0, 0)); typ != FrameWelcome {
+		t.Fatalf("fresh HELLO after the bad frame: %s, want WELCOME", frameName(typ))
 	}
 }
 

@@ -351,20 +351,23 @@ func (s *Server) handle(conn net.Conn) {
 		s.badFrames.Inc()
 		return
 	}
-	version, base, helloSendNs, source, err := parseHello(payload)
-	if err != nil || source == "" || version < minVersion || version > Version {
-		reason := fmt.Sprintf("unsupported version %d (want %d-%d)", version, minVersion, Version)
-		if err != nil || source == "" {
-			reason = "missing source id"
-		}
+	// Every REJECT is permanent: the shipper stops instead of redialing.
+	reject := func(reason string) {
 		s.rejects.Inc()
 		send(FrameReject, 0, []byte(reason))
+	}
+	version, base, helloSendNs, source, err := parseHello(payload)
+	if version != Version {
+		reject(fmt.Sprintf("unsupported version %d (want %d)", version, Version))
+		return
+	}
+	if err != nil || source == "" {
+		reject("missing source id")
 		return
 	}
 	topic, err := s.Topic(source)
 	if err != nil {
-		s.rejects.Inc()
-		send(FrameReject, 0, []byte(err.Error()))
+		reject(err.Error())
 		return
 	}
 	mode := ModeStream
@@ -372,33 +375,27 @@ func (s *Server) handle(conn net.Conn) {
 	var boot *Bootstrapper
 	if s.cfg.Bootstrap != nil {
 		if boot, err = s.cfg.Bootstrap(source); err != nil {
-			s.rejects.Inc()
-			send(FrameReject, 0, []byte(err.Error()))
+			reject(err.Error())
 			return
 		}
 	}
 	if boot != nil {
 		mode, progress, err = boot.Handshake(base, topic.LastSeq(), send)
 		if err != nil {
-			s.rejects.Inc()
-			send(FrameReject, 0, []byte(err.Error()))
+			reject(err.Error())
 			return
 		}
 	} else if base > topic.LastSeq() {
 		// Ops (LastSeq, base] are gone from the source log and this
 		// server cannot bootstrap: accepting the stream would leave a
 		// silent gap in the replica.
-		s.rejects.Inc()
-		send(FrameReject, 0, []byte("snapshot bootstrap required but not enabled"))
+		reject("snapshot bootstrap required but not enabled")
 		return
 	}
 	s.connects.Inc()
-	// A version-3 peer gets the HELLO's timestamps echoed back with our
-	// receive/send pair — the first skew exchange of the connection.
-	var wts *skewTimes
-	if version >= 3 {
-		wts = &skewTimes{T0: helloSendNs, T1: helloRecvNs, T2: time.Now().UnixNano()}
-	}
+	// WELCOME echoes the HELLO's timestamp with our receive/send pair —
+	// the first skew exchange of the connection.
+	wts := skewTimes{T0: helloSendNs, T1: helloRecvNs, T2: time.Now().UnixNano()}
 	if err := send(FrameWelcome, 0, welcomePayload(topic.LastSeq(), mode, progress, wts)); err != nil {
 		return
 	}
@@ -447,19 +444,19 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case FrameHeartbeat:
-			// A version-3 probe carries the shipper's send time and its
-			// current offset estimate: store the estimate on the topic for
-			// the applier's corrected lag, echo the exchange back. Empty
-			// (version-2) probes get the empty echo they expect.
-			if t0, off, rtt, has, ok := parseProbe(payload); ok {
-				if has {
-					topic.SetSkew(off, rtt)
-				}
-				echo := echoPayload(skewTimes{T0: t0, T1: recvNs, T2: time.Now().UnixNano()})
-				if err := send(FrameHeartbeat, FlagReply, echo); err != nil {
-					return
-				}
-			} else if err := send(FrameHeartbeat, FlagReply, nil); err != nil {
+			// A probe carries the shipper's send time and its current
+			// offset estimate: store the estimate on the topic for the
+			// applier's corrected lag, echo the exchange back.
+			t0, off, rtt, has, err := parseProbe(payload)
+			if err != nil {
+				s.badFrames.Inc()
+				return
+			}
+			if has {
+				topic.SetSkew(off, rtt)
+			}
+			echo := echoPayload(skewTimes{T0: t0, T1: recvNs, T2: time.Now().UnixNano()})
+			if err := send(FrameHeartbeat, FlagReply, echo); err != nil {
 				return
 			}
 		case FrameShutdown:

@@ -226,9 +226,7 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 	// the server's receive/send pair; our receive time completes it.
 	// HEARTBEAT probes keep re-estimating for the connection's life.
 	skew := &SkewEstimator{}
-	if helloTs != nil {
-		skew.Sample(helloTs.T0, helloTs.T1, helloTs.T2, time.Now().UnixNano())
-	}
+	skew.Sample(helloTs.T0, helloTs.T1, helloTs.T2, time.Now().UnixNano())
 	var pump *bootPump
 	if mode == ModeBootstrap {
 		if sh.cfg.Snapshot == nil {
@@ -430,11 +428,13 @@ func (sh *Shipper) runConn(stop <-chan struct{}, b *retry.Backoff, firstSend map
 				pump.onAck(chunkID, round, status, keys, lastRecv)
 			}
 		case FrameHeartbeat:
-			// Echo received: lastRecv already refreshed. A version-3 echo
-			// carries the probe's timestamp exchange — another skew sample.
-			if ts, ok := parseEcho(payload); ok {
-				skew.Sample(ts.T0, ts.T1, ts.T2, lastRecv.UnixNano())
+			// Echo received: lastRecv already refreshed. The echo carries
+			// the probe's timestamp exchange — another skew sample.
+			ts, err := parseEcho(payload)
+			if err != nil {
+				return errReconnect
 			}
+			skew.Sample(ts.T0, ts.T1, ts.T2, lastRecv.UnixNano())
 		case FrameBusy, FrameShutdown:
 			return errReconnect
 		default:
